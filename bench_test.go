@@ -111,8 +111,17 @@ func BenchmarkSimulatorGeneric(b *testing.B) {
 // I-cache outcomes replayed from a precomputed miss-event overlay instead
 // of simulated live — how every point after the first runs in a
 // timing-parameter sweep.
-func BenchmarkSimulatorReplay(b *testing.B) {
-	wc, _ := workload.SuiteConfig("crafty")
+func BenchmarkSimulatorReplay(b *testing.B) { benchReplay(b, "crafty") }
+
+// BenchmarkSimulatorMCF is BenchmarkSimulatorReplay on memory-bound mcf
+// (CPI 3-5), whose cycles mostly stall behind long D-misses: the dead cycles
+// the simulator skips. The other simulator benchmarks all run crafty.
+func BenchmarkSimulatorMCF(b *testing.B) { benchReplay(b, "mcf") }
+
+// benchReplay measures overlay replay of 200k instructions of one suite
+// program on the baseline machine.
+func benchReplay(b *testing.B, bench string) {
+	wc, _ := workload.SuiteConfig(bench)
 	tr, err := trace.ReadAll(workload.MustNew(wc, 200_000))
 	if err != nil {
 		b.Fatal(err)

@@ -93,34 +93,34 @@ func compareResults(t *testing.T, want, got *Result) {
 	}
 	for _, f := range scalar {
 		if f.want != f.have {
-			t.Errorf("%s: generic %d, fast %d", f.name, f.want, f.have)
+			t.Errorf("%s: want %d, got %d", f.name, f.want, f.have)
 		}
 	}
 	if want.Stalls != got.Stalls {
-		t.Errorf("Stalls: generic %+v, fast %+v", want.Stalls, got.Stalls)
+		t.Errorf("Stalls: want %+v, got %+v", want.Stalls, got.Stalls)
 	}
 	if want.Bpred != got.Bpred {
-		t.Errorf("Bpred: generic %+v, fast %+v", want.Bpred, got.Bpred)
+		t.Errorf("Bpred: want %+v, got %+v", want.Bpred, got.Bpred)
 	}
 	if want.Caches != got.Caches {
-		t.Errorf("Caches: generic %+v, fast %+v", want.Caches, got.Caches)
+		t.Errorf("Caches: want %+v, got %+v", want.Caches, got.Caches)
 	}
 	if len(want.Events) != len(got.Events) {
-		t.Errorf("Events: generic %d, fast %d", len(want.Events), len(got.Events))
+		t.Errorf("Events: want %d, got %d", len(want.Events), len(got.Events))
 	} else {
 		for i := range want.Events {
 			if want.Events[i] != got.Events[i] {
-				t.Errorf("Events[%d]: generic %+v, fast %+v", i, want.Events[i], got.Events[i])
+				t.Errorf("Events[%d]: want %+v, got %+v", i, want.Events[i], got.Events[i])
 				break
 			}
 		}
 	}
 	if len(want.Records) != len(got.Records) {
-		t.Errorf("Records: generic %d, fast %d", len(want.Records), len(got.Records))
+		t.Errorf("Records: want %d, got %d", len(want.Records), len(got.Records))
 	} else {
 		for i := range want.Records {
 			if want.Records[i] != got.Records[i] {
-				t.Errorf("Records[%d]: generic %+v, fast %+v", i, want.Records[i], got.Records[i])
+				t.Errorf("Records[%d]: want %+v, got %+v", i, want.Records[i], got.Records[i])
 				break
 			}
 		}
@@ -129,7 +129,7 @@ func compareResults(t *testing.T, want, got *Result) {
 		return
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("results differ outside the named fields: generic %+v, fast %+v", want, got)
+		t.Errorf("results differ outside the named fields: want %+v, got %+v", want, got)
 	}
 }
 

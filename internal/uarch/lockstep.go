@@ -9,15 +9,16 @@ import (
 )
 
 // SimulateMany runs one simulator per configuration over the same packed
-// trace, advancing all of them cycle-by-cycle in lockstep. The K simulators
-// share the trace's struct-of-arrays storage (and the overlay, when one is
-// given): at any moment every active simulator's fetch index sits within a
+// trace, advancing all of them in lockstep, one step each per round (a step
+// is one simulated cycle plus the dead cycles it skips after it). The K
+// simulators share the trace's struct-of-arrays storage (and the overlay,
+// when one is given): at any moment every active simulator's fetch index sits within a
 // window of the others, so the trace bytes each cycle touches are resident
 // for all K configs instead of being streamed from memory K times — the
 // traffic that dominates a serial sweep of the same configurations.
 //
 // Results are byte-identical to running each configuration serially with
-// Run: a simulator's per-cycle transition reads only its own state, so the
+// Run: a simulator's step transition reads only its own state, so the
 // interleaving cannot change any individual outcome (pinned by
 // TestLockstepMatchesSerial). Per-config fast-path selection and overlay
 // applicability are decided independently for every configuration, so each

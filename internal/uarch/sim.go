@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"intervalsim/internal/bpred"
 	"intervalsim/internal/cache"
@@ -206,6 +207,10 @@ type simulator struct {
 	// Run-loop parameters resolved once by initRun so step() stays branchless
 	// on Options defaults.
 	noProgress uint64
+
+	// skipped counts the cycles skipDead jumped over; tests read it to check
+	// that the skip engages.
+	skipped uint64
 
 	// Sampling measurement units: one entry per completed detailed phase,
 	// recorded at the detailed→skip boundary. unitBase holds the statistics
@@ -425,6 +430,11 @@ func (s *simulator) cacheStats() CacheStats {
 // ctxPollMask+1 cycles, cheap enough to be invisible in profiles.
 const ctxPollMask = 0x3ff
 
+// skipDeadCycles lets step jump over dead cycles (see skipDead). Only tests
+// clear it, to run the one-cycle-at-a-time reference loop the skip must
+// reproduce exactly.
+var skipDeadCycles = true
+
 func (s *simulator) run(ctx context.Context) (*Result, error) {
 	s.initRun()
 	for {
@@ -448,12 +458,13 @@ func (s *simulator) initRun() {
 	}
 }
 
-// step advances the simulation by exactly one cycle (commit → issue →
-// dispatch → fetch, with the watchdog and cancellation checks of a full run)
-// and reports whether the run is complete. It is the unit the lockstep
-// driver interleaves: because a simulator's transition function reads only
-// its own state, any interleaving of step calls across simulators produces
-// the same per-simulator results as running each to completion serially.
+// step advances the simulation by one cycle (commit → issue → dispatch →
+// fetch, with the watchdog and cancellation checks of a full run) and, when
+// that cycle was dead, on over the dead cycles behind it (skipDead). It
+// reports whether the run is complete. It is the unit the lockstep driver
+// interleaves: because a simulator's transition function reads only its own
+// state, any interleaving of step calls across simulators produces the same
+// per-simulator results as running each to completion serially.
 func (s *simulator) step(ctx context.Context) (bool, error) {
 	more, err := s.moreInsts()
 	if err != nil {
@@ -463,9 +474,11 @@ func (s *simulator) step(ctx context.Context) (bool, error) {
 		return true, nil
 	}
 	s.cycle++
-	s.commit()
-	s.issue()
-	s.dispatch()
+	// The frontend state a dead cycle leaves unchanged (see skipDead).
+	fetchIdx, resumeAt, await := s.fetchIdx, s.fetchResumeAt, s.awaitResolve
+	phase, started, wrong := s.detailedPhase, s.startSkipped, s.wrongActive
+	moved := s.commit() + s.issue()
+	stall := s.dispatch()
 	if err := s.fetch(); err != nil {
 		return false, err
 	}
@@ -482,7 +495,102 @@ func (s *simulator) step(ctx context.Context) (bool, error) {
 			return false, fmt.Errorf("%w: %s: at cycle %d: %v", ErrCanceled, s.cfg.Name, s.cycle, err)
 		}
 	}
+	if moved == 0 && stall != nil && !wrong && skipDeadCycles &&
+		s.fetchIdx == fetchIdx && s.fetchResumeAt == resumeAt && s.awaitResolve == await &&
+		s.detailedPhase == phase && s.startSkipped == started {
+		s.skipDead(stall)
+	}
 	return false, nil
+}
+
+// skipDead jumps over the dead cycles that follow the dead cycle just
+// simulated. A cycle is dead when it committed, issued, dispatched and
+// fetched nothing, left fetchResumeAt, awaitResolve and the sampling phase
+// flags unchanged, and ran no wrong-path fetch (which touches the I-cache
+// every cycle). The machine then stays frozen until its next event horizon
+// h: every cycle before h would repeat this one — no stage acts, dispatch
+// charges the same stall bucket (each bucket's condition changes only at a
+// commit, an issue, a dispatch or a horizon), and the timeline records a
+// zero. So the span is charged in one addition and the clock jumps to h−1;
+// the next step simulates h. The jump never passes a cycle on which step
+// would report something — the MaxCycles budget, the no-progress limit, the
+// next context poll — so errors name the same cycles as the one-cycle loop.
+func (s *simulator) skipDead(stall *uint64) {
+	now := s.cycle
+	to := now | ctxPollMask // the next poll is on to+1
+	if m := s.opts.MaxCycles; m > 0 {
+		to = min(to, m-1)
+	}
+	if lim := s.lastCommitTick + s.noProgress; lim >= s.lastCommitTick { // else overflowed: no limit
+		to = min(to, lim)
+	}
+	if to <= now {
+		return
+	}
+	h := s.horizon()
+	if h == math.MaxUint64 {
+		return // nothing can wake the machine: leave it to the watchdog
+	}
+	if to = min(to, h-1); to <= now {
+		return
+	}
+	span := to - now
+	*stall += span
+	if room := s.opts.TimelineCycles - len(s.res.Timeline); room > 0 {
+		s.res.Timeline = append(s.res.Timeline, make([]uint8, min(uint64(room), span))...)
+	}
+	s.skipped += span
+	s.cycle = to
+}
+
+// horizon returns the earliest cycle after the current one at which a dead
+// machine can change: the ROB head completing, an unissued instruction
+// becoming issuable (wakeAt), the frontend-queue head reaching dispatch, or
+// fetch resuming. It returns math.MaxUint64 when there is no such cycle.
+func (s *simulator) horizon() uint64 {
+	now := s.cycle
+	h := uint64(math.MaxUint64)
+	at := func(t uint64) {
+		if t > now && t < h {
+			h = t
+		}
+	}
+	if s.head < s.tail {
+		at(s.rob[s.headSlot].doneAt) // 0 while the head is unissued
+	}
+	if s.fqLen > 0 {
+		at(s.fq[s.fqHead].readyAt)
+	}
+	if !s.awaitResolve {
+		at(s.fetchResumeAt)
+	}
+	// now+1 is the earliest horizon there can be: stop once it is found.
+	for slot := s.unissuedHead; slot >= 0 && h > now+1; slot = s.unissuedNext[slot] {
+		at(s.wakeAt(&s.rob[slot]))
+	}
+	return h
+}
+
+// wakeAt returns the cycle at which the unissued entry e can next try to
+// issue: when the first operand it still waits on is produced or, with all
+// operands ready, when a unit of its pool frees up. It returns 0 when that
+// operand's producer has not issued yet: the producer's own issue, a live
+// cycle, comes first.
+func (s *simulator) wakeAt(e *robEntry) uint64 {
+	for _, dep := range [...]int64{e.dep1, e.dep2, e.depMem} {
+		if dep < 0 || s.depReady(dep) {
+			continue
+		}
+		if p := &s.rob[s.robSlot(uint64(dep))]; p.issued {
+			return p.doneAt
+		}
+		return 0
+	}
+	t := uint64(math.MaxUint64)
+	for _, freeAt := range s.fus[s.poolByClass[e.class]] {
+		t = min(t, freeAt)
+	}
+	return t
 }
 
 // finalize assembles the Result after the last step reported completion.
@@ -587,7 +695,9 @@ func subStats(a, b cache.Stats) cache.Stats {
 	return cache.Stats{Accesses: a.Accesses - b.Accesses, Misses: a.Misses - b.Misses}
 }
 
-func (s *simulator) commit() {
+// commit retires up to CommitWidth completed instructions from the ROB head
+// and returns how many it retired.
+func (s *simulator) commit() int {
 	n := 0
 	for s.head < s.tail && n < s.cfg.CommitWidth {
 		e := &s.rob[s.headSlot]
@@ -611,6 +721,18 @@ func (s *simulator) commit() {
 			s.takeWarmSnapshot()
 		}
 	}
+	return n
+}
+
+// robSlot returns the ROB slot of the in-flight sequence number seq.
+// In-flight entries sit within ROBSize of head, so the slot derives from the
+// head slot without dividing.
+func (s *simulator) robSlot(seq uint64) int32 {
+	slot := s.headSlot + int32(seq-s.head)
+	if slot >= s.robSize {
+		slot -= s.robSize
+	}
+	return slot
 }
 
 // depReady reports whether the producer with sequence number dep has its
@@ -619,13 +741,7 @@ func (s *simulator) depReady(dep int64) bool {
 	if dep < 0 || uint64(dep) < s.head {
 		return true // no dependence, or producer already committed
 	}
-	// In-flight producers sit within ROBSize of head: derive the slot from
-	// the head slot without dividing.
-	slot := s.headSlot + int32(uint64(dep)-s.head)
-	if slot >= s.robSize {
-		slot -= s.robSize
-	}
-	e := &s.rob[slot]
+	e := &s.rob[s.robSlot(uint64(dep))]
 	if e.vpredOK {
 		// Correctly value-predicted producer: its result was available at
 		// dispatch, so consumers never wait on it.
@@ -634,7 +750,9 @@ func (s *simulator) depReady(dep int64) bool {
 	return e.issued && e.doneAt <= s.cycle
 }
 
-func (s *simulator) issue() {
+// issue sends up to IssueWidth ready instructions to free functional units
+// and returns how many it issued.
+func (s *simulator) issue() int {
 	issued := 0
 	prev := int32(-1)
 	for slot := s.unissuedHead; slot >= 0 && issued < s.cfg.IssueWidth; {
@@ -735,28 +853,33 @@ func (s *simulator) issue() {
 		}
 		slot = next
 	}
+	return issued
 }
 
-func (s *simulator) dispatch() {
+// dispatch moves up to DispatchWidth instructions from the frontend queue
+// into the ROB. A cycle that dispatches nothing is charged to exactly one
+// stall bucket, which dispatch returns; it returns nil when it dispatched.
+func (s *simulator) dispatch() *uint64 {
 	n := 0
+	var stall *uint64
 	rob := uint64(s.cfg.ROBSize)
 	for n < s.cfg.DispatchWidth && s.fqLen > 0 {
 		f := &s.fq[s.fqHead]
 		if f.readyAt > s.cycle {
 			if n == 0 {
-				s.c.stalls.Refill++
+				stall = &s.c.stalls.Refill
 			}
 			break
 		}
 		if s.tail-s.head >= rob {
 			if n == 0 {
-				s.c.stalls.ROBFull++
+				stall = &s.c.stalls.ROBFull
 			}
 			break
 		}
 		if s.unissued >= s.cfg.IQSize {
 			if n == 0 {
-				s.c.stalls.IQFull++
+				stall = &s.c.stalls.IQFull
 			}
 			break
 		}
@@ -859,16 +982,20 @@ func (s *simulator) dispatch() {
 	if n == 0 && s.fqLen == 0 {
 		switch {
 		case s.awaitResolve:
-			s.c.stalls.BranchResolve++
+			stall = &s.c.stalls.BranchResolve
 		case s.cycle < s.fetchResumeAt:
-			s.c.stalls.ICacheMiss++
+			stall = &s.c.stalls.ICacheMiss
 		default:
-			s.c.stalls.Other++
+			stall = &s.c.stalls.Other
 		}
+	}
+	if stall != nil {
+		*stall++
 	}
 	if s.opts.TimelineCycles > 0 && len(s.res.Timeline) < s.opts.TimelineCycles {
 		s.res.Timeline = append(s.res.Timeline, uint8(n))
 	}
+	return stall
 }
 
 // producerOf returns the pending producer of register r, or noDep.
