@@ -10,7 +10,6 @@
 package intervalsim_test
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -144,36 +143,6 @@ func benchReplay(b *testing.B, bench string) {
 		}
 	}
 	b.ReportMetric(float64(soa.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
-}
-
-// BenchmarkSimulatorLockstep measures SimulateMany advancing four ROB
-// configurations over one shared packed trace, each simulator stepped one
-// cycle per round. The reported Minst/s is aggregate (trace length × K per
-// iteration): the number to compare against K separate BenchmarkSimulator
-// runs, since all K simulators touch the same resident trace window instead
-// of streaming the trace K times.
-func BenchmarkSimulatorLockstep(b *testing.B) {
-	wc, _ := workload.SuiteConfig("crafty")
-	soa, err := trace.PackReader(workload.MustNew(wc, 200_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cfgs []uarch.Config
-	for _, rob := range []int{32, 64, 128, 256} {
-		cfg := uarch.Baseline()
-		cfg.Name = fmt.Sprintf("lockstep-r%d", rob)
-		cfg.ROBSize = rob
-		cfg.IQSize = rob / 2
-		cfgs = append(cfgs, cfg)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.SimulateMany(context.Background(), soa, nil, cfgs, uarch.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(soa.Len())*float64(len(cfgs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
 // BenchmarkSampledSweep measures a small depth×ROB sweep run in sampled mode

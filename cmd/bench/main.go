@@ -65,28 +65,25 @@ type benchPoint struct {
 
 // sweepBench is the sweep-level metric: the wall-clock of an entire
 // depth×ROB design-space sweep at a fixed predictor and cache hierarchy,
-// run five ways over the same packed trace — live cycle-level simulation,
-// cycle-level simulation replaying a shared miss-event overlay, all points
-// advanced together in lockstep over that overlay, SMARTS-style sampled
-// simulation, and the analytic interval model evaluated straight off the
-// overlay. Replay and lockstep must reproduce live cycle counts exactly
-// (checked); sampling trades exactness for a confidence interval, and the
-// number of points whose CPI interval covers the full-run CPI is recorded
-// alongside its speedup; the model trades exactness for orders-of-magnitude
-// less work, and its mean CPI error vs live is recorded as the sanity
-// bound. Setup costs (overlay computation, shared ILP characteristics) are
-// charged to the timings they benefit.
+// run four ways over the same packed trace — live cycle-level simulation,
+// cycle-level simulation replaying a shared miss-event overlay, SMARTS-style
+// sampled simulation, and the analytic interval model evaluated straight off
+// the overlay. Replay must reproduce live cycle counts exactly (checked);
+// sampling trades exactness for a confidence interval, and the number of
+// points whose CPI interval covers the full-run CPI is recorded alongside
+// its speedup; the model trades exactness for orders-of-magnitude less work,
+// and its mean CPI error vs live is recorded as the sanity bound. Setup
+// costs (overlay computation, shared ILP characteristics) are charged to the
+// timings they benefit.
 type sweepBench struct {
 	Benchmark       string  `json:"benchmark"`
 	Insts           int     `json:"insts"`
 	Points          int     `json:"points"`
 	LiveSeconds     float64 `json:"live_s"`
 	ReplaySeconds   float64 `json:"replay_s"`
-	LockstepSeconds float64 `json:"lockstep_s"`
 	SampledSeconds  float64 `json:"sampled_s"`
 	ModelSeconds    float64 `json:"model_s"`
 	ReplaySpeedup   float64 `json:"replay_speedup"`
-	LockstepSpeedup float64 `json:"lockstep_speedup"`
 	SampledSpeedup  float64 `json:"sampled_speedup"`
 	ModelSpeedup    float64 `json:"model_speedup"`
 	OverlayHits     uint64  `json:"overlay_hits"`
@@ -305,10 +302,9 @@ func run(quick bool, runs int, stdout io.Writer) (*benchReport, error) {
 		return nil, err
 	}
 	rep.Sweep = sw
-	fmt.Fprintf(stdout, "sweep %s (%d pts, %d insts): live %.2fs, replay %.2fs (%.2fx), lockstep %.2fs (%.2fx), sampled %.2fs (%.2fx, %d/%d CI cover, |err| %.1f%%), model %.2fs (%.1fx), overlay hit rate %.0f%%, model CPI |err| %.1f%%\n",
+	fmt.Fprintf(stdout, "sweep %s (%d pts, %d insts): live %.2fs, replay %.2fs (%.2fx), sampled %.2fs (%.2fx, %d/%d CI cover, |err| %.1f%%), model %.2fs (%.1fx), overlay hit rate %.0f%%, model CPI |err| %.1f%%\n",
 		sw.Benchmark, sw.Points, sw.Insts, sw.LiveSeconds,
 		sw.ReplaySeconds, sw.ReplaySpeedup,
-		sw.LockstepSeconds, sw.LockstepSpeedup,
 		sw.SampledSeconds, sw.SampledSpeedup, sw.SampledCovered, sw.Points, sw.SampledMeanErr*100,
 		sw.ModelSeconds, sw.ModelSpeedup,
 		sw.OverlayHitRate*100, sw.ModelMeanErr*100)
@@ -516,25 +512,6 @@ func measureSweep(quick bool) (*sweepBench, error) {
 	}
 	sw.ReplaySeconds = time.Since(t1).Seconds()
 
-	// Lockstep: the same grid advanced as one K-way set over the shared
-	// overlay — one pass over the trace bytes instead of len(cfgs). Must be
-	// cycle-exact against live, like replay.
-	lov, err := oc.Get(soa, cfgs[0].Pred, cfgs[0].Mem)
-	if err != nil {
-		return nil, err
-	}
-	tl := time.Now()
-	lres, err := uarch.SimulateMany(context.Background(), soa, lov, cfgs, uarch.Options{})
-	if err != nil {
-		return nil, err
-	}
-	sw.LockstepSeconds = time.Since(tl).Seconds()
-	for i, res := range lres {
-		if res.Cycles != liveCycles[i] {
-			return nil, fmt.Errorf("lockstep point %s: %d cycles, live %d", cfgs[i].Name, res.Cycles, liveCycles[i])
-		}
-	}
-
 	// Sampled: each point simulated in detail only during short systematic
 	// phases, with functional warming between them. No start-skip, so the
 	// sampled estimate targets the same whole-run CPI the live sweep
@@ -606,9 +583,6 @@ func measureSweep(quick bool) (*sweepBench, error) {
 	}
 	if sw.ReplaySeconds > 0 {
 		sw.ReplaySpeedup = sw.LiveSeconds / sw.ReplaySeconds
-	}
-	if sw.LockstepSeconds > 0 {
-		sw.LockstepSpeedup = sw.LiveSeconds / sw.LockstepSeconds
 	}
 	if sw.SampledSeconds > 0 {
 		sw.SampledSpeedup = sw.LiveSeconds / sw.SampledSeconds

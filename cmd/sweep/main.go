@@ -4,17 +4,14 @@
 // the "what if" harness interval analysis exists to support: the penalty
 // columns show how the five contributors shift across the design space.
 //
-// Four engines are available. The default (-mode sim) runs the cycle-level
+// Three engines are available. The default (-mode sim) runs the cycle-level
 // simulator at every point, replaying branch-predictor and I-cache outcomes
 // from a miss-event overlay computed once for the whole grid (the grid
 // varies only timing parameters, so speculation outcomes are shared). -mode
-// lockstep produces byte-identical rows through uarch.SimulateMany: the grid
-// is chunked into K-sets that advance over the shared trace in lockstep,
-// amortizing the trace memory traffic across configurations. -mode sampled
-// runs SMARTS-style systematic sampling at every point (detailed phases with
-// functional warming in between) and emits CPI with its confidence interval
-// instead of the penalty decomposition — a fraction of the wall clock at
-// quantified statistical precision. -mode model skips the detailed simulator
+// sampled runs SMARTS-style systematic sampling at every point (detailed
+// phases with functional warming in between) and emits CPI with its
+// confidence interval instead of the penalty decomposition — a fraction of
+// the wall clock at quantified statistical precision. -mode model skips the detailed simulator
 // entirely: it evaluates the analytic interval model at every point from the
 // same shared overlay plus ILP characteristics profiled once per dispatch
 // width — minutes of simulation become seconds of arithmetic, at the model's
@@ -30,7 +27,7 @@
 //
 // Usage:
 //
-//	sweep [-bench crafty] [-mode sim|lockstep|sampled|model] [-insts N] [-warmup N] [-j N] [-timeout D] [-keep-going] > sweep.csv
+//	sweep [-bench crafty] [-mode sim|sampled|model] [-insts N] [-warmup N] [-j N] [-timeout D] [-keep-going] > sweep.csv
 //
 // Exit codes: 0 success, 1 runtime error or failed points, 2 usage error.
 package main
@@ -76,10 +73,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	pred := fs.String("pred", "", "branch predictor preset for every grid point (e.g. tage, 2bc-gskew, gshare; empty = baseline tournament)")
 	vpredName := fs.String("vpred", "", "value predictor preset for every grid point (e.g. last-value, stride, fcm; empty = no value speculation)")
 	fetchRate := fs.Float64("fetchrate", 0, "fetch rate after low-confidence branches, in (0, 1] (0 = full rate, no throttling)")
-	mode := fs.String("mode", "sim", "engine per grid point: sim (cycle-level), lockstep (K configs per trace pass, same rows as sim), sampled (systematic sampling with confidence intervals), or model (analytic interval model)")
+	mode := fs.String("mode", "sim", "engine per grid point: sim (cycle-level), sampled (systematic sampling with confidence intervals), or model (analytic interval model)")
 	insts := fs.Int("insts", 1_000_000, "dynamic instructions per point")
 	warmup := fs.Uint64("warmup", 200_000, "warmup instructions per point (the initial functional skip in sampled mode)")
-	lockstepK := fs.Int("lockstep-k", 8, "configurations advanced per lockstep set (-mode lockstep)")
 	sampleDetailed := fs.Uint64("sample-detailed", 2_000, "instructions per detailed phase (-mode sampled)")
 	sampleSkip := fs.Uint64("sample-skip", 18_000, "instructions functionally warmed between detailed phases (-mode sampled)")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "design points simulated in parallel")
@@ -105,13 +101,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch *mode {
-	case "sim", "model", "lockstep", "sampled":
+	case "sim", "model", "sampled":
 	default:
-		fmt.Fprintf(stderr, "sweep: unknown mode %q (want sim, lockstep, sampled or model)\n", *mode)
-		return 2
-	}
-	if *lockstepK < 1 {
-		fmt.Fprintf(stderr, "sweep: -lockstep-k must be at least 1\n")
+		fmt.Fprintf(stderr, "sweep: unknown mode %q (want sim, sampled or model)\n", *mode)
 		return 2
 	}
 	if *mode == "sampled" && (*sampleDetailed == 0 || *sampleSkip == 0) {
@@ -143,7 +135,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		pred:           *pred,
 		vpred:          *vpredName,
 		fetchRate:      *fetchRate,
-		lockstepK:      *lockstepK,
 		sampleDetailed: *sampleDetailed,
 		sampleSkip:     *sampleSkip,
 	}
@@ -171,7 +162,6 @@ type sweepParams struct {
 	pred           string  // predictor preset name; "" = baseline tournament
 	vpred          string  // value predictor preset name; "" = no value speculation
 	fetchRate      float64 // post-low-confidence-branch fetch rate; 0 = full
-	lockstepK      int
 	sampleDetailed uint64
 	sampleSkip     uint64
 }
@@ -201,7 +191,6 @@ func runCluster(stdout, stderr io.Writer, endpoints, bench string, p sweepParams
 		Pred:           p.pred,
 		VPred:          p.vpred,
 		FetchRate:      p.fetchRate,
-		LockstepK:      p.lockstepK,
 		SampleDetailed: p.sampleDetailed,
 		SampleSkip:     p.sampleSkip,
 		PointTimeout:   timeout,
@@ -291,13 +280,6 @@ func (pt *pathTally) summarize(w io.Writer) {
 	}
 }
 
-// simHeaders is the CSV schema shared by sim and lockstep modes: lockstep
-// rows must be byte-identical to sim rows, starting with the header.
-func simHeaders() []string {
-	return []string{"width", "depth", "rob", "ipc", "avg_penalty",
-		"penalty_frontend", "penalty_drain", "penalty_fu", "penalty_shortd", "penalty_longd"}
-}
-
 func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sweepParams, hopts harness.Options) error {
 	// Pack the trace once: every grid point reuses the struct-of-arrays
 	// layout and its precomputed dependence metadata (the simulator's
@@ -341,66 +323,28 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 		}
 	}
 
-	// Jobs yield whole CSV row groups: one row for per-point engines, K rows
-	// for a lockstep set.
 	points := grid()
 	for i := range points {
 		points[i].Pred = base.Pred
 		points[i].VPred = base.VPred
 		points[i].FetchRate = base.FetchRate
 	}
-	var jobs []harness.Job[[][]string]
-	var headers []string
 	var tally pathTally
-
+	var headers []string
+	var point func(ctx context.Context, cfg uarch.Config) ([]string, error)
 	switch p.mode {
 	case "sim":
-		headers = simHeaders()
+		headers = []string{"width", "depth", "rob", "ipc", "avg_penalty",
+			"penalty_frontend", "penalty_drain", "penalty_fu", "penalty_shortd", "penalty_longd"}
 		tr := soa.Unpack() // AoS view for the decomposer
-		for _, cfg := range points {
-			cfg := cfg
-			jobs = append(jobs, harness.Job[[][]string]{
-				Name: cfg.Name,
-				Run: func(ctx context.Context) ([][]string, error) {
-					row, err := simPoint(ctx, soa, tr, ov, cfg, p.warmup, &tally)
-					if err != nil {
-						return nil, err
-					}
-					return [][]string{row}, nil
-				},
-			})
-		}
-	case "lockstep":
-		headers = simHeaders()
-		tr := soa.Unpack()
-		for start := 0; start < len(points); start += p.lockstepK {
-			set := points[start:min(start+p.lockstepK, len(points))]
-			name := set[0].Name
-			if len(set) > 1 {
-				name = fmt.Sprintf("lockstep[%s..%s]", set[0].Name, set[len(set)-1].Name)
-			}
-			jobs = append(jobs, harness.Job[[][]string]{
-				Name: name,
-				Run: func(ctx context.Context) ([][]string, error) {
-					return lockstepSet(ctx, soa, tr, ov, set, p.warmup, &tally)
-				},
-			})
+		point = func(ctx context.Context, cfg uarch.Config) ([]string, error) {
+			return simPoint(ctx, soa, tr, ov, cfg, p.warmup, &tally)
 		}
 	case "sampled":
 		headers = []string{"width", "depth", "rob", "ipc",
 			"cpi", "cpi_lo", "cpi_hi", "cpi_rel_err", "units"}
-		for _, cfg := range points {
-			cfg := cfg
-			jobs = append(jobs, harness.Job[[][]string]{
-				Name: cfg.Name,
-				Run: func(ctx context.Context) ([][]string, error) {
-					row, err := sampledPoint(ctx, soa, cfg, p, &tally)
-					if err != nil {
-						return nil, err
-					}
-					return [][]string{row}, nil
-				},
-			})
+		point = func(ctx context.Context, cfg uarch.Config) ([]string, error) {
+			return sampledPoint(ctx, soa, cfg, p, &tally)
 		}
 	case "model":
 		headers = []string{"width", "depth", "rob", "ipc", "avg_penalty",
@@ -410,32 +354,27 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 		if err != nil {
 			return err
 		}
-		for _, cfg := range points {
-			cfg := cfg
-			jobs = append(jobs, harness.Job[[][]string]{
-				Name: cfg.Name,
-				Run: func(ctx context.Context) ([][]string, error) {
-					row, err := modelPoint(set, cfg)
-					if err != nil {
-						return nil, err
-					}
-					return [][]string{row}, nil
-				},
-			})
+		point = func(_ context.Context, cfg uarch.Config) ([]string, error) {
+			return modelPoint(set, cfg)
 		}
 	default:
 		return fmt.Errorf("unknown mode %q", p.mode)
 	}
+	jobs := make([]harness.Job[[]string], len(points))
+	for i, cfg := range points {
+		jobs[i] = harness.Job[[]string]{
+			Name: cfg.Name,
+			Run:  func(ctx context.Context) ([]string, error) { return point(ctx, cfg) },
+		}
+	}
 
 	results, runErr := harness.Run(ctx, jobs, hopts)
 
-	// Fail-soft emission: every completed row group, in grid order.
+	// Fail-soft emission: every completed row, in grid order.
 	t := report.New("", headers...)
 	for _, r := range results {
 		if r.Err == nil {
-			for _, row := range r.Value {
-				t.AddRow(row...)
-			}
+			t.AddRow(r.Value...)
 		}
 	}
 	if err := t.FprintCSV(stdout); err != nil {
@@ -449,9 +388,10 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	return runErr
 }
 
-// simPoint simulates one design point and renders its CSV row. Each point
-// gets a fresh reader over the shared packed trace; the SoA itself is
-// read-only during simulation, so concurrent points are safe.
+// simPoint simulates one design point and renders its CSV row: IPC plus the
+// mean misprediction-penalty decomposition. Each point gets a fresh reader
+// over the shared packed trace; the SoA itself is read-only during
+// simulation, so concurrent points are safe.
 func simPoint(ctx context.Context, soa *trace.SoA, tr *trace.Trace, ov *overlay.Overlay, cfg uarch.Config, warmup uint64, tally *pathTally) ([]string, error) {
 	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
 		RecordMispredicts: true,
@@ -468,12 +408,6 @@ func simPoint(ctx context.Context, soa *trace.SoA, tr *trace.Trace, ov *overlay.
 		return nil, err
 	}
 	tally.note(res)
-	return simRow(tr, cfg, res)
-}
-
-// simRow renders the sim/lockstep CSV row for one simulated design point:
-// IPC plus the mean misprediction-penalty decomposition.
-func simRow(tr *trace.Trace, cfg uarch.Config, res *uarch.Result) ([]string, error) {
 	dec, err := core.NewDecomposer(tr, res)
 	if err != nil {
 		return nil, harness.Permanent(err)
@@ -489,36 +423,6 @@ func simRow(tr *trace.Trace, cfg uarch.Config, res *uarch.Result) ([]string, err
 		fmt.Sprintf("%.2f", m.ShortDMiss),
 		fmt.Sprintf("%.2f", m.LongDMiss),
 	}, nil
-}
-
-// lockstepSet simulates one K-set of design points in lockstep over the
-// shared trace and renders their CSV rows — the same rows, byte for byte,
-// that simPoint would produce for each member. Per-config path/fallback
-// provenance is tallied per result, not once per batch. A failure of any
-// member (bad config, watchdog) cancels and fails the whole set, matching
-// SimulateMany's contract.
-func lockstepSet(ctx context.Context, soa *trace.SoA, tr *trace.Trace, ov *overlay.Overlay, cfgs []uarch.Config, warmup uint64, tally *pathTally) ([][]string, error) {
-	results, err := uarch.SimulateMany(ctx, soa, ov, cfgs, uarch.Options{
-		RecordMispredicts: true,
-		RecordLoadLevels:  true,
-		WarmupInsts:       warmup,
-	})
-	if err != nil {
-		if errors.Is(err, uarch.ErrBadConfig) || errors.Is(err, uarch.ErrWatchdog) {
-			return nil, harness.Permanent(err)
-		}
-		return nil, err
-	}
-	rows := make([][]string, len(results))
-	for i, res := range results {
-		tally.note(res)
-		row, err := simRow(tr, cfgs[i], res)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = row
-	}
-	return rows, nil
 }
 
 // sampledPoint runs one design point under systematic sampling and renders

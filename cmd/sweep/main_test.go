@@ -252,63 +252,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestLockstepModeMatchesSim is the lockstep acceptance gate at the command
-// level: `-mode lockstep` must write byte-identical CSV to `-mode sim` over
-// the same grid — header included — for set sizes that do and do not divide
-// the 27-point grid, and must still run every point on the overlay-replay
-// fast path.
-func TestLockstepModeMatchesSim(t *testing.T) {
-	render := func(extra ...string) (string, string) {
-		var out, errb bytes.Buffer
-		if code := realMain(sweepArgs(extra...), &out, &errb); code != 0 {
-			t.Fatalf("%v exit = %d (stderr: %s)", extra, code, errb.String())
-		}
-		return out.String(), errb.String()
-	}
-	sim, _ := render("-j", "4")
-	for _, k := range []string{"2", "5", "8", "27"} {
-		lockstep, se := render("-mode", "lockstep", "-lockstep-k", k, "-j", "4")
-		if lockstep != sim {
-			t.Errorf("-lockstep-k %s CSV differs from sim mode:\n--- sim ---\n%s--- lockstep ---\n%s", k, sim, lockstep)
-		}
-		if !strings.Contains(se, "simulator paths: 27×soa+overlay") {
-			t.Errorf("-lockstep-k %s stderr missing overlay path summary: %q", k, se)
-		}
-		if strings.Contains(se, "fallback:") {
-			t.Errorf("-lockstep-k %s unexpected fallback: %q", k, se)
-		}
-	}
-}
-
-// TestLockstepBrokenPointFailsSet pins SimulateMany's all-or-nothing set
-// contract at the command level: one broken design point fails its whole
-// K-set (those rows are withheld), every other set still emits, and the
-// exit code reports the failure.
-func TestLockstepBrokenPointFailsSet(t *testing.T) {
-	testPointHook = func(cfg *uarch.Config) {
-		if cfg.Name == "w4-d7-r128" {
-			cfg.ROBSize = -1 // fails Validate with ErrBadConfig
-		}
-	}
-	defer func() { testPointHook = nil }()
-
-	var out, errb bytes.Buffer
-	code := realMain(sweepArgs("-mode", "lockstep", "-lockstep-k", "8"), &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	// The broken point is grid index 13, inside the second 8-point set: the
-	// whole set's rows are withheld, the other 19 points survive.
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 1+19 {
-		t.Fatalf("CSV has %d lines, want 20:\n%s", len(lines), out.String())
-	}
-	se := errb.String()
-	if !strings.Contains(se, "FAIL lockstep[") || !strings.Contains(se, "invalid configuration") {
-		t.Fatalf("stderr missing set failure: %q", se)
-	}
-}
-
 // TestSampledMode exercises the sampling engine end to end: sampled CSV
 // schema, deterministic under parallelism, well-ordered confidence bounds,
 // and no overlay computed (sampled runs bypass replay by design).
@@ -412,14 +355,12 @@ func TestEndpointsModeMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestEndpointsLockstepAndSampledMatchInProcess extends the distributed gate
-// to the new engines: a fleet-sharded lockstep sweep merges to the same bytes
-// as the in-process sim sweep (lockstep rows are sim rows), and a sampled
-// fleet sweep merges to the in-process sampled CSV, confidence columns
-// included.
-func TestEndpointsLockstepAndSampledMatchInProcess(t *testing.T) {
+// TestEndpointsSampledMatchesInProcess extends the distributed gate to the
+// sampled engine: a sampled fleet sweep merges to the in-process sampled
+// CSV, confidence columns included.
+func TestEndpointsSampledMatchesInProcess(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-grid distributed sweeps skipped in -short mode")
+		t.Skip("full-grid distributed sweep skipped in -short mode")
 	}
 	s := service.New(service.Options{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -439,18 +380,10 @@ func TestEndpointsLockstepAndSampledMatchInProcess(t *testing.T) {
 		}
 		return out.String()
 	}
-
-	local := run(sweepArgs("-j", "4"))
-	dist := run(sweepArgs("-mode", "lockstep", "-lockstep-k", "4", "-endpoints", ts.URL))
-	if dist != local {
-		t.Errorf("distributed lockstep CSV differs from in-process sim:\n--- local ---\n%s--- distributed ---\n%s", local, dist)
-	}
-
 	sampledArgs := []string{"-mode", "sampled", "-sample-detailed", "500", "-sample-skip", "1500"}
-	localSampled := run(sweepArgs(append(sampledArgs, "-j", "4")...))
-	distSampled := run(sweepArgs(append(sampledArgs, "-endpoints", ts.URL)...))
-	if distSampled != localSampled {
-		t.Errorf("distributed sampled CSV differs from in-process:\n--- local ---\n%s--- distributed ---\n%s",
-			localSampled, distSampled)
+	local := run(sweepArgs(append(sampledArgs, "-j", "4")...))
+	dist := run(sweepArgs(append(sampledArgs, "-endpoints", ts.URL)...))
+	if dist != local {
+		t.Errorf("distributed sampled CSV differs from in-process:\n--- local ---\n%s--- distributed ---\n%s", local, dist)
 	}
 }

@@ -194,6 +194,30 @@ func TestPow2Panics(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsBadGeometry: geometry the constructors panic on is an
+// error from Config.Build, which validates configurations from outside the
+// process (a full machine config in a service request).
+func TestBuildRejectsBadGeometry(t *testing.T) {
+	for _, c := range []Config{
+		{Kind: "bimodal", Entries: 100},
+		{Kind: "gshare", Entries: -4, HistBits: 2},
+		{Kind: "tournament", Entries: 4095, HistBits: 12},
+		{Kind: "local", Entries: 8, HistBits: 0},
+		{Kind: "local", Entries: 8, HistBits: 17},
+		{Kind: "perceptron", Entries: 64, HistBits: 65},
+		{Kind: "tage", Entries: 0, HistBits: 64},
+		{Kind: "2bc-gskew", Entries: 3, HistBits: 12},
+		{Kind: "taken", BTBEntries: 3},
+	} {
+		if _, err := c.Build(); err == nil {
+			t.Errorf("%+v built, want a geometry error", c)
+		}
+	}
+	if _, err := (Config{Kind: "oracle", Entries: 3}).Build(); err == nil || !strings.Contains(err.Error(), "unknown predictor kind") {
+		t.Errorf("unknown kind: err = %v, want unknown predictor kind", err)
+	}
+}
+
 func TestUnitCountsAndMispredicts(t *testing.T) {
 	u := &Unit{Dir: &Static{Taken: false}, BTB: NewBTB(16)}
 	br := &isa.Inst{PC: 0x100, Class: isa.Branch, Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg, Target: 0x200, Taken: true}

@@ -15,8 +15,26 @@ type Config struct {
 	BTBEntries int    // 0 disables target misses
 }
 
-// Build constructs the configured prediction unit.
+// Build constructs the configured prediction unit. Geometry the table
+// constructors cannot build (they panic on it) is an error here, so a
+// configuration that arrives from outside the process is checked, not
+// trusted.
 func (c Config) Build() (*Unit, error) {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	switch c.Kind {
+	case "bimodal", "gshare", "local", "tournament", "perceptron", "tage", "2bc-gskew":
+		if !pow2(c.Entries) {
+			return nil, fmt.Errorf("bpred: %s entries must be a positive power of two, got %d", c.Kind, c.Entries)
+		}
+	}
+	switch {
+	case c.Kind == "local" && (c.HistBits < 1 || c.HistBits > 16):
+		return nil, fmt.Errorf("bpred: local history bits %d out of [1,16]", c.HistBits)
+	case c.Kind == "perceptron" && (c.HistBits < 1 || c.HistBits > 64):
+		return nil, fmt.Errorf("bpred: perceptron history bits %d out of [1,64]", c.HistBits)
+	case c.BTBEntries > 0 && !pow2(c.BTBEntries):
+		return nil, fmt.Errorf("bpred: BTB entries must be a power of two, got %d", c.BTBEntries)
+	}
 	var dir Predictor
 	switch c.Kind {
 	case "perfect":

@@ -33,7 +33,7 @@ type Options struct {
 
 	Widths, Depths, ROBs []int // design-space axes, in output order
 
-	Mode   string // "sim" (default), "lockstep", "sampled", or "model"
+	Mode   string // "sim" (default), "sampled", or "model"
 	Insts  int    // dynamic instructions per point
 	Warmup uint64 // warmup instructions per point
 	Pred   string // predictor preset for every point ("" = baseline tournament)
@@ -44,9 +44,6 @@ type Options struct {
 	VPred     string
 	FetchRate float64
 
-	// LockstepK is the number of configurations each daemon advances per
-	// lockstep set in lockstep mode (0 means the daemon default of 8).
-	LockstepK int
 	// SampleDetailed/SampleSkip are the systematic-sampling phase lengths,
 	// required (both positive) in sampled mode and ignored otherwise.
 	SampleDetailed uint64
@@ -255,9 +252,9 @@ func Run(ctx context.Context, opts Options, emit func(*Row) error) (*RunStats, e
 		mode = "sim"
 	}
 	switch mode {
-	case "sim", "lockstep", "sampled", "model":
+	case "sim", "sampled", "model":
 	default:
-		return nil, fmt.Errorf("cluster: unknown mode %q (want sim, lockstep, sampled or model)", mode)
+		return nil, fmt.Errorf("cluster: unknown mode %q (want sim, sampled or model)", mode)
 	}
 	if mode == "sampled" && (opts.SampleDetailed == 0 || opts.SampleSkip == 0) {
 		return nil, fmt.Errorf("cluster: sampled mode needs positive SampleDetailed and SampleSkip")
@@ -445,14 +442,11 @@ func (r *run) dispatch(ctx context.Context, c *Client, st *batchState) error {
 		VPred:     r.opts.VPred,
 		FetchRate: r.opts.FetchRate,
 		Mode:      r.mode,
-		Decompose: r.mode == "sim" || r.mode == "lockstep",
+		Decompose: r.mode == "sim",
 		TimeoutMS: int(r.opts.PointTimeout / time.Millisecond),
 		Points:    st.Specs,
 	}
-	switch r.mode {
-	case "lockstep":
-		req.LockstepK = r.opts.LockstepK
-	case "sampled":
+	if r.mode == "sampled" {
 		req.SampleDetailed = r.opts.SampleDetailed
 		req.SampleSkip = r.opts.SampleSkip
 	}

@@ -11,8 +11,7 @@ import (
 
 // simHeaders / modelHeaders / sampledHeaders mirror cmd/sweep's CSV columns
 // exactly; byte parity between a distributed and a single-process sweep
-// depends on it. Lockstep mode shares simHeaders: its rows are byte-identical
-// to sim rows by construction.
+// depends on it.
 var (
 	simHeaders = []string{"width", "depth", "rob", "ipc", "avg_penalty",
 		"penalty_frontend", "penalty_drain", "penalty_fu", "penalty_shortd", "penalty_longd"}

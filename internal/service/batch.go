@@ -1,18 +1,10 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
-	"intervalsim/internal/core"
-	"intervalsim/internal/experiments"
-	"intervalsim/internal/overlay"
-	"intervalsim/internal/trace"
-	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
 
@@ -42,17 +34,12 @@ type BatchRequest struct {
 	// point, as in MachineSpec; rejected at admission when invalid.
 	VPred     string  `json:"vpred,omitempty"`
 	FetchRate float64 `json:"fetchrate,omitempty"`
-	Mode      string  `json:"mode,omitempty"` // "sim" (default), "lockstep", "sampled", or "model"
+	Mode      string  `json:"mode,omitempty"` // "sim" (default), "sampled", or "model"
 	// Decompose adds the interval penalty decomposition (frontend, drain,
-	// FU, short-data, long-data) to each sim- or lockstep-mode point — the
-	// columns cmd/sweep's CSV carries. It costs one mispredict-penalty
+	// FU, short-data, long-data) to each sim-mode point — the columns
+	// cmd/sweep's CSV carries. It costs one mispredict-penalty
 	// decomposition pass per point.
 	Decompose bool `json:"decompose,omitempty"`
-	// LockstepK is the number of configurations advanced per lockstep set
-	// (lockstep mode only; <= 0 means 8). The batch's points are chunked in
-	// request order into sets of this size, each set simulated in one pass
-	// over the shared trace via uarch.SimulateMany.
-	LockstepK int `json:"lockstep_k,omitempty"`
 	// SampleDetailed/SampleSkip are the systematic-sampling phase lengths
 	// (sampled mode only; both must be positive): simulate SampleDetailed
 	// instructions cycle-accurately, functionally warm SampleSkip, repeat.
@@ -100,78 +87,35 @@ type BatchPoint struct {
 
 	Path string `json:"path,omitempty"`
 	// Fallback is this point's own fast-path bypass provenance
-	// (uarch.Result.Fallback) — per config even in lockstep mode, where one
-	// set member can fall back (e.g. a divergent speculation fingerprint)
-	// while its siblings replay the overlay.
+	// (uarch.Result.Fallback).
 	Fallback string `json:"fallback,omitempty"`
 	Error    string `json:"error,omitempty"`
 	Outcome  string `json:"outcome,omitempty"`
 }
 
 // BatchTrailer is the final NDJSON line of a batch stream.
-type BatchTrailer struct {
-	Done    bool   `json:"done"`
-	Points  int    `json:"points"`
-	OK      int    `json:"ok"`
-	Failed  int    `json:"failed"`
-	Mode    string `json:"mode"`
-	Elapsed string `json:"elapsed"`
-}
+type BatchTrailer = SweepTrailer
 
-// batchInputs is a resolved batch request.
-type batchInputs struct {
-	simInputs
-	mode           string
-	decompose      bool
-	lockstepK      int
-	sampleDetailed uint64
-	sampleSkip     uint64
-	specs          []BatchPointSpec
-}
-
-func (s *Server) resolveBatch(req *BatchRequest) (batchInputs, error) {
-	base, err := s.resolveSimulate(&SimulateRequest{
+func (s *Server) resolveBatch(req *BatchRequest) (sweepInputs, error) {
+	if len(req.Points) == 0 {
+		return sweepInputs{}, fmt.Errorf("%w: batch has no points", errBadRequest)
+	}
+	for _, sp := range req.Points {
+		if sp.Width <= 0 || sp.Depth <= 0 || sp.ROB <= 0 {
+			return sweepInputs{}, fmt.Errorf("%w: point seq %d has non-positive knobs", errBadRequest, sp.Seq)
+		}
+	}
+	in := sweepInputs{points: req.Points, decompose: req.Decompose}
+	err := s.resolvePoints(SimulateRequest{
 		Benchmark: req.Benchmark,
 		Workload:  req.Workload,
 		Insts:     req.Insts,
 		Warmup:    req.Warmup,
 		Machine:   MachineSpec{Pred: req.Pred, VPred: req.VPred, FetchRate: req.FetchRate},
 		TimeoutMS: req.TimeoutMS,
-	})
+	}, &in, len(req.Points), req.Mode, req.SampleDetailed, req.SampleSkip)
 	if err != nil {
-		return batchInputs{}, err
-	}
-	in := batchInputs{simInputs: base, specs: req.Points, decompose: req.Decompose}
-	if len(in.specs) == 0 {
-		return batchInputs{}, fmt.Errorf("%w: batch has no points", errBadRequest)
-	}
-	if len(in.specs) > s.opts.MaxSweepPoints {
-		return batchInputs{}, fmt.Errorf("%w: %d points exceeds the %d-point cap", errBadRequest, len(in.specs), s.opts.MaxSweepPoints)
-	}
-	for _, sp := range in.specs {
-		if sp.Width <= 0 || sp.Depth <= 0 || sp.ROB <= 0 {
-			return batchInputs{}, fmt.Errorf("%w: point seq %d has non-positive knobs", errBadRequest, sp.Seq)
-		}
-	}
-	in.mode = req.Mode
-	if in.mode == "" {
-		in.mode = "sim"
-	}
-	switch in.mode {
-	case "sim", "lockstep", "sampled", "model":
-	default:
-		return batchInputs{}, fmt.Errorf("%w: unknown mode %q (want sim, lockstep, sampled or model)", errBadRequest, in.mode)
-	}
-	if in.decompose && in.mode != "sim" && in.mode != "lockstep" {
-		return batchInputs{}, fmt.Errorf("%w: decompose requires sim or lockstep mode", errBadRequest)
-	}
-	in.lockstepK = req.LockstepK
-	if in.lockstepK <= 0 {
-		in.lockstepK = 8
-	}
-	in.sampleDetailed, in.sampleSkip = req.SampleDetailed, req.SampleSkip
-	if in.mode == "sampled" && (in.sampleDetailed == 0 || in.sampleSkip == 0) {
-		return batchInputs{}, fmt.Errorf("%w: sampled mode needs positive sample_detailed and sample_skip", errBadRequest)
+		return sweepInputs{}, err
 	}
 	return in, nil
 }
@@ -196,295 +140,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Batch dispatches come from the cluster coordinator, which stamps its
 	// current fleet view on each one; adopt it before resolving artifacts so
-	// the fills below can already reach the peers.
+	// the fills can already reach the peers.
 	s.learnPeers(r)
-
-	// Shared artifacts, once per batch — and across batches via the caches,
-	// filled from fleet peers when possible. Sampled runs bypass overlay
-	// replay by design (precomputed dependences do not apply to
-	// fast-forwarded runs), so that mode never computes one.
-	tr, soa, err := s.sharedTrace(in.wc, in.insts)
-	if err != nil {
-		s.reject(w, http.StatusInternalServerError, err, outcomeError)
-		return
-	}
-	var ov *overlay.Overlay
-	if in.mode != "sampled" {
-		if ov, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
-			s.reject(w, http.StatusInternalServerError, err, outcomeError)
-			return
-		}
-	}
-	var set *core.ModelSet
-	if in.mode == "model" {
-		maxROB := 2
-		for _, sp := range in.specs {
-			if sp.ROB > maxROB {
-				maxROB = sp.ROB
-			}
-		}
-		set, err = core.NewModelSet(soa, ov, in.cfg, maxROB, in.warmup, in.insts)
-		if err != nil {
-			s.reject(w, http.StatusInternalServerError, err, outcomeError)
-			return
-		}
-	}
-
-	// Admission check before committing to a stream, as for /v1/sweep.
-	if ps := s.pool.Stats(); ps.Queued >= ps.Capacity {
-		w.Header().Set("Retry-After", s.retryAfter())
-		s.reject(w, http.StatusTooManyRequests, ErrQueueFull, outcomeRejected)
-		return
-	}
-
-	lines := make(chan BatchPoint, len(in.specs))
-	var wg sync.WaitGroup
-	wg.Add(len(in.specs))
-	go func() {
-		wg.Wait()
-		close(lines)
-	}()
-
-	go func() {
-		if in.mode == "lockstep" {
-			s.submitLockstepSets(r, tr, soa, ov, in, lines, &wg)
-			return
-		}
-		for _, sp := range in.specs {
-			sp := sp
-			cfg := experiments.Point(sp.Width, sp.Depth, sp.ROB)
-			cfg.Pred = in.cfg.Pred
-			cfg.VPred = in.cfg.VPred
-			cfg.FetchRate = in.cfg.FetchRate
-			line := BatchPoint{Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB}
-			t := &task{
-				name:    fmt.Sprintf("batch-%s-%s", in.wc.Name, cfg.Name),
-				timeout: in.timeout,
-				parent:  r.Context(),
-				run: func(ctx context.Context) error {
-					switch in.mode {
-					case "model":
-						return s.modelBatchPoint(cfg, set, &line)
-					case "sampled":
-						return s.sampledBatchPoint(ctx, soa, cfg, in, &line)
-					default:
-						return s.simBatchPoint(ctx, tr, soa, ov, cfg, in, &line)
-					}
-				},
-				finish: func(err error, d time.Duration) {
-					outcome := classify(err)
-					s.metrics.observe(outcome, d)
-					if err != nil {
-						lines <- BatchPoint{
-							Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB,
-							Error: err.Error(), Outcome: outcome,
-						}
-					} else {
-						lines <- line
-					}
-					wg.Done()
-				},
-			}
-			if err := s.pool.SubmitWait(r.Context(), t); err != nil {
-				outcome := classify(err)
-				s.metrics.count(outcome)
-				lines <- BatchPoint{
-					Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB,
-					Error: err.Error(), Outcome: outcome,
-				}
-				wg.Done()
-			}
-		}
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	ok, failed := 0, 0
-	for line := range lines {
-		if line.Error == "" {
-			ok++
-		} else {
-			failed++
-		}
-		enc.Encode(line) //nolint:errcheck // keep draining for the finishers
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc.Encode(BatchTrailer{ //nolint:errcheck
-		Done: true, Points: len(in.specs), OK: ok, Failed: failed,
-		Mode: in.mode, Elapsed: time.Since(start).Round(time.Millisecond).String(),
-	})
-}
-
-// simBatchPoint runs one cycle-level point into line, with the interval
-// penalty decomposition when asked for — the exact computation behind
-// cmd/sweep's sim-mode CSV row, so a distributed sweep merges to the same
-// bytes as a single-process one.
-func (s *Server) simBatchPoint(ctx context.Context, tr *trace.Trace, soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, in batchInputs, line *BatchPoint) error {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		RecordMispredicts: true,
-		RecordLoadLevels:  in.decompose,
-		WarmupInsts:       in.warmup,
-		Overlay:           ov,
-	})
-	if err != nil {
-		return err
-	}
-	return fillSimPoint(tr, res, in.decompose, line)
-}
-
-// fillSimPoint renders one simulated result into its batch line — shared by
-// the per-point sim path and the lockstep path, so their rows are identical.
-func fillSimPoint(tr *trace.Trace, res *uarch.Result, decompose bool, line *BatchPoint) error {
-	line.IPC = res.IPC()
-	line.Cycles = res.Cycles
-	line.Path = res.Path
-	line.Fallback = res.Fallback
-	line.AvgPenalty = res.AvgMispredictPenalty()
-	if decompose {
-		dec, err := core.NewDecomposer(tr, res)
-		if err != nil {
-			return err
-		}
-		m := core.Mean(dec.DecomposeAll())
-		line.AvgPenalty = m.Total
-		line.PenFrontend = m.Frontend
-		line.PenDrain = m.BaseILP
-		line.PenFU = m.FULatency
-		line.PenShortD = m.ShortDMiss
-		line.PenLongD = m.LongDMiss
-	}
-	return nil
-}
-
-// submitLockstepSets chunks a lockstep batch's points in request order into
-// K-sets and submits one pool task per set. Each set is one SimulateMany pass
-// over the shared trace; its results fill the same fields simBatchPoint
-// would, per point, including each config's own fallback provenance. A set
-// member failing (bad config, watchdog) fails the whole set — every member
-// then reports the error, matching SimulateMany's all-or-nothing contract.
-func (s *Server) submitLockstepSets(r *http.Request, tr *trace.Trace, soa *trace.SoA, ov *overlay.Overlay, in batchInputs, lines chan<- BatchPoint, wg *sync.WaitGroup) {
-	for start := 0; start < len(in.specs); start += in.lockstepK {
-		set := in.specs[start:min(start+in.lockstepK, len(in.specs))]
-		cfgs := make([]uarch.Config, len(set))
-		pts := make([]BatchPoint, len(set))
-		for i, sp := range set {
-			cfgs[i] = experiments.Point(sp.Width, sp.Depth, sp.ROB)
-			cfgs[i].Pred = in.cfg.Pred
-			cfgs[i].VPred = in.cfg.VPred
-			cfgs[i].FetchRate = in.cfg.FetchRate
-			pts[i] = BatchPoint{Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB}
-		}
-		emitAll := func(err error, outcome string) {
-			for i, sp := range set {
-				if err != nil {
-					lines <- BatchPoint{
-						Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB,
-						Error: err.Error(), Outcome: outcome,
-					}
-				} else {
-					lines <- pts[i]
-				}
-				wg.Done()
-			}
-		}
-		t := &task{
-			name:    fmt.Sprintf("batch-%s-lockstep-%s", in.wc.Name, cfgs[0].Name),
-			timeout: in.timeout,
-			parent:  r.Context(),
-			run: func(ctx context.Context) error {
-				return s.lockstepBatchSet(ctx, tr, soa, ov, cfgs, in, pts)
-			},
-			finish: func(err error, d time.Duration) {
-				outcome := classify(err)
-				s.metrics.observe(outcome, d)
-				emitAll(err, outcome)
-			},
-		}
-		if err := s.pool.SubmitWait(r.Context(), t); err != nil {
-			s.metrics.count(classify(err))
-			emitAll(err, classify(err))
-		}
-	}
-}
-
-// lockstepBatchSet runs one K-set of design points in lockstep and fills
-// their batch lines — the same values, per point, that the per-point sim
-// path produces (pinned by TestBatchLockstepMatchesSim).
-func (s *Server) lockstepBatchSet(ctx context.Context, tr *trace.Trace, soa *trace.SoA, ov *overlay.Overlay, cfgs []uarch.Config, in batchInputs, pts []BatchPoint) error {
-	results, err := uarch.SimulateMany(ctx, soa, ov, cfgs, uarch.Options{
-		RecordMispredicts: true,
-		RecordLoadLevels:  in.decompose,
-		WarmupInsts:       in.warmup,
-	})
-	if err != nil {
-		return err
-	}
-	for i, res := range results {
-		if err := fillSimPoint(tr, res, in.decompose, &pts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sampledBatchPoint runs one design point under systematic sampling and
-// fills the CPI confidence-interval fields. The request's warmup budget
-// becomes the initial functional skip; no overlay is involved (sampled runs
-// track dependences live by design).
-func (s *Server) sampledBatchPoint(ctx context.Context, soa *trace.SoA, cfg uarch.Config, in batchInputs, line *BatchPoint) error {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		SampleStartSkip: in.warmup,
-		SampleDetailed:  in.sampleDetailed,
-		SampleSkip:      in.sampleSkip,
-	})
-	if err != nil {
-		return err
-	}
-	st := res.Sample
-	if st == nil {
-		return fmt.Errorf("%s: sampled run carries no sample statistics", cfg.Name)
-	}
-	line.IPC = res.IPC()
-	line.Cycles = res.Cycles
-	line.Path = res.Path
-	line.Fallback = res.Fallback
-	line.CPI = st.CPI.Mean
-	line.CPILo = st.CPI.Lower
-	line.CPIHi = st.CPI.Upper
-	line.CPIRelErr = st.CPI.RelErr
-	line.SampleUnits = st.Units
-	return nil
-}
-
-// modelBatchPoint evaluates one analytic-model point into line, mirroring
-// cmd/sweep's model-mode CSV row.
-func (s *Server) modelBatchPoint(cfg uarch.Config, set *core.ModelSet, line *BatchPoint) error {
-	m, prof, err := set.For(cfg)
-	if err != nil {
-		return err
-	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return err
-	}
-	pen, err := modelPenalty(m, prof)
-	if err != nil {
-		return err
-	}
-	insts := float64(pred.Insts)
-	line.AvgPenalty = pen
-	line.CPIBase = pred.Base / insts
-	line.CPIBpred = pred.Bpred / insts
-	line.CPIICache = pred.ICache / insts
-	line.CPILongData = pred.LongData / insts
-	line.CPIVMisspec = pred.VMisspec / insts
-	if cpi := pred.CPI(); cpi > 0 {
-		line.IPC = 1 / cpi
-	}
-	line.Path = "model"
-	return nil
+	s.streamPoints(w, r, start, &in, "batch", func(pt BatchPoint) any { return pt })
 }

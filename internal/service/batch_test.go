@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -16,42 +15,6 @@ import (
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
-
-// readBatch consumes an NDJSON batch stream.
-func readBatch(t *testing.T, resp *http.Response) ([]BatchPoint, BatchTrailer) {
-	t.Helper()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("batch: content-type %q", ct)
-	}
-	var (
-		points  []BatchPoint
-		trailer BatchTrailer
-	)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if bytes.Contains(line, []byte(`"done"`)) {
-			if err := json.Unmarshal(line, &trailer); err != nil {
-				t.Fatalf("trailer: %v", err)
-			}
-			continue
-		}
-		var pt BatchPoint
-		if err := json.Unmarshal(line, &pt); err != nil {
-			t.Fatalf("point: %v", err)
-		}
-		points = append(points, pt)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	return points, trailer
-}
 
 // TestBatchDecomposeMatchesDirect pins the distributed-sweep contract: a
 // batch point with Decompose returns exactly the numbers cmd/sweep's
@@ -136,78 +99,6 @@ func TestBatchModelMode(t *testing.T) {
 	for _, pt := range points {
 		if pt.Path != "model" || pt.CPIBase <= 0 || pt.IPC <= 0 {
 			t.Errorf("point %+v, want model path with positive cpi_base/ipc", pt)
-		}
-	}
-}
-
-// TestBatchLockstepMatchesSim pins the lockstep shard contract: a lockstep
-// batch returns, per point, exactly the values the per-point sim path
-// returns — measurements, decomposition, path, and each config's own
-// fallback provenance — for set sizes that do and do not divide the batch.
-func TestBatchLockstepMatchesSim(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-
-	specs := []BatchPointSpec{
-		{Seq: 0, Width: 2, Depth: 3, ROB: 64},
-		{Seq: 1, Width: 4, Depth: 7, ROB: 128},
-		{Seq: 2, Width: 8, Depth: 11, ROB: 256},
-		{Seq: 3, Width: 4, Depth: 3, ROB: 96},
-		{Seq: 4, Width: 2, Depth: 7, ROB: 192},
-	}
-	req := BatchRequest{Benchmark: "gzip", Insts: 20_000, Warmup: 4_000, Decompose: true, Points: specs}
-	collect := func(req BatchRequest) map[int]BatchPoint {
-		points, trailer := readBatch(t, postJSON(t, ts.URL+"/v1/batch", req))
-		if trailer.OK != len(specs) || trailer.Failed != 0 {
-			t.Fatalf("mode %q trailer = %+v, want %d ok", req.Mode, trailer, len(specs))
-		}
-		bySeq := make(map[int]BatchPoint, len(points))
-		for _, pt := range points {
-			bySeq[pt.Seq] = pt
-		}
-		return bySeq
-	}
-
-	sim := collect(req)
-	for _, k := range []int{2, 3, 5} {
-		lreq := req
-		lreq.Mode, lreq.LockstepK = "lockstep", k
-		lockstep := collect(lreq)
-		for seq, want := range sim {
-			if got := lockstep[seq]; got != want {
-				t.Errorf("lockstep_k %d seq %d = %+v, want sim point %+v", k, seq, got, want)
-			}
-		}
-	}
-	for seq, pt := range sim {
-		if pt.Path != "soa+overlay" || pt.Fallback != "" {
-			t.Errorf("seq %d path/fallback = %q/%q, want clean overlay replay", seq, pt.Path, pt.Fallback)
-		}
-	}
-}
-
-// TestBatchLockstepSetFailsTogether pins the all-or-nothing set contract at
-// the service: when a lockstep set dies (here: per-point timeout), every
-// member of the set reports the error — no partial sets.
-func TestBatchLockstepSetFailsTogether(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-
-	points, trailer := readBatch(t, postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Benchmark: "mcf",
-		Insts:     5_000_000,
-		Mode:      "lockstep",
-		LockstepK: 2,
-		TimeoutMS: 1, // far below the work
-		Points: []BatchPointSpec{
-			{Seq: 0, Width: 4, Depth: 7, ROB: 128},
-			{Seq: 1, Width: 4, Depth: 7, ROB: 256},
-		},
-	}))
-	if trailer.Failed != 2 || trailer.OK != 0 {
-		t.Fatalf("trailer = %+v, want the whole set failed", trailer)
-	}
-	for _, pt := range points {
-		if pt.Error == "" || pt.Outcome != outcomeTimeout {
-			t.Errorf("point %+v, want a timeout error line", pt)
 		}
 	}
 }

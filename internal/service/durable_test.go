@@ -233,20 +233,76 @@ func TestTenantQuota429(t *testing.T) {
 	}
 }
 
-// TestBadPriorityHeader: an unknown X-Priority is a 400, not a silent default.
+// TestBadPriorityHeader: an unknown X-Priority is a 400, not a silent
+// default, on every endpoint that admits work to the pool.
 func TestBadPriorityHeader(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	raw, _ := json.Marshal(SimulateRequest{Benchmark: "gzip", Insts: 2000})
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/simulate", bytes.NewReader(raw))
-	req.Header.Set("X-Priority", "urgent")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	for path, body := range map[string]any{
+		"/v1/simulate": SimulateRequest{Benchmark: "gzip", Insts: 2000},
+		"/v1/sweep":    SweepRequest{Benchmark: "gzip", Insts: 2000, Widths: []int{2}, Depths: []int{3}, ROBs: []int{64}},
+		"/v1/batch":    BatchRequest{Benchmark: "gzip", Insts: 2000, Points: []BatchPointSpec{{Width: 2, Depth: 3, ROB: 64}}},
+	} {
+		raw, _ := json.Marshal(body)
+		req, _ := http.NewRequest("POST", ts.URL+path, bytes.NewReader(raw))
+		req.Header.Set("X-Priority", "urgent")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+}
+
+// TestBatchTenantQuota: batch points count against the X-Tenant that sent
+// the batch. While alice's batch holds her one-job quota, her simulate is
+// turned away with 429 and bob's is admitted.
+func TestBatchTenantQuota(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 16, TenantQuota: 1})
+
+	post := func(ctx context.Context, path, tenant string, body any) *http.Response {
+		raw, _ := json.Marshal(body)
+		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+path, bytes.NewReader(raw))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	batch := post(ctx, "/v1/batch", "alice", BatchRequest{
+		Benchmark: "mcf", Insts: 4_000_000,
+		Points: []BatchPointSpec{{Seq: 0, Width: 4, Depth: 7, ROB: 128}, {Seq: 1, Width: 4, Depth: 7, ROB: 256}},
+	})
+	defer batch.Body.Close()
+	if batch.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d", batch.StatusCode)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.pool.Stats().InFlight == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("batch point never started")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	sim := SimulateRequest{Benchmark: "gzip", Insts: 2000}
+	alice := post(context.Background(), "/v1/simulate", "alice", sim)
+	alice.Body.Close()
+	if alice.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("alice's simulate during her batch: status %d, want 429", alice.StatusCode)
+	}
+	bob := post(context.Background(), "/v1/simulate", "bob", sim)
+	bob.Body.Close()
+	if bob.StatusCode != http.StatusOK {
+		t.Errorf("bob's simulate during alice's batch: status %d, want 200", bob.StatusCode)
+	}
+	cancel() // hang up: the batch's points are canceled, freeing the worker
 }
 
 // TestReadyzLifecycle: /readyz is 503 while draining; /healthz stays 200.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -306,15 +305,7 @@ func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error)
 	if err != nil {
 		return nil, err
 	}
-	m, prof, err := set.For(in.cfg)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return nil, err
-	}
-	pen, err := modelPenalty(m, prof)
+	pred, pen, err := modelPoint(set, in.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -337,12 +328,21 @@ func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error)
 	return out, nil
 }
 
-// modelPenalty is the model's mean misprediction penalty over the profiled
-// interval structure (the same aggregation cmd/sweep's model mode reports).
-func modelPenalty(m *core.Model, prof *core.Profile) (float64, error) {
+// modelPoint evaluates the analytic model at cfg: the predicted cycle stack
+// and the model's mean misprediction penalty over the profiled interval
+// structure (the same aggregation cmd/sweep's model mode reports).
+func modelPoint(set *core.ModelSet, cfg uarch.Config) (core.CPIBreakdown, float64, error) {
+	m, prof, err := set.For(cfg)
+	if err != nil {
+		return core.CPIBreakdown{}, 0, err
+	}
+	pred, err := m.PredictCPI(prof)
+	if err != nil {
+		return core.CPIBreakdown{}, 0, err
+	}
 	ivs, err := core.Segment(prof.Events, prof.Insts)
 	if err != nil {
-		return 0, err
+		return core.CPIBreakdown{}, 0, err
 	}
 	var pen, n float64
 	for _, iv := range ivs {
@@ -354,7 +354,7 @@ func modelPenalty(m *core.Model, prof *core.Profile) (float64, error) {
 	if n > 0 {
 		pen /= n
 	}
-	return pen, nil
+	return pred, pen, nil
 }
 
 // ---- handlers ----
@@ -623,307 +623,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// ---- sweep streaming ----
-
-// sweepInputs is a resolved sweep request.
-type sweepInputs struct {
-	simInputs
-	widths, depths, robs []int
-	pred                 string // predictor preset name ("" = baseline)
-	vpred                string // value-predictor preset name ("" = none)
-	mode                 string
-	sampleDetailed       uint64
-	sampleSkip           uint64
-}
-
-func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
-	base, err := s.resolveSimulate(&SimulateRequest{
-		Benchmark: req.Benchmark,
-		Workload:  req.Workload,
-		Insts:     req.Insts,
-		Warmup:    req.Warmup,
-		Machine:   MachineSpec{Pred: req.Pred, VPred: req.VPred, FetchRate: req.FetchRate},
-		TimeoutMS: req.TimeoutMS,
-	})
-	if err != nil {
-		return sweepInputs{}, err
-	}
-	in := sweepInputs{
-		simInputs: base, widths: req.Widths, depths: req.Depths, robs: req.ROBs,
-		pred: req.Pred, vpred: req.VPred,
-	}
-	if len(in.widths) == 0 {
-		in.widths = []int{2, 4, 8}
-	}
-	if len(in.depths) == 0 {
-		in.depths = []int{3, 7, 11}
-	}
-	if len(in.robs) == 0 {
-		in.robs = []int{64, 128, 256}
-	}
-	for _, axis := range [][]int{in.widths, in.depths, in.robs} {
-		for _, v := range axis {
-			if v <= 0 {
-				return sweepInputs{}, fmt.Errorf("%w: axis values must be positive", errBadRequest)
-			}
-		}
-	}
-	if n := len(in.widths) * len(in.depths) * len(in.robs); n > s.opts.MaxSweepPoints {
-		return sweepInputs{}, fmt.Errorf("%w: %d points exceeds the %d-point cap", errBadRequest, n, s.opts.MaxSweepPoints)
-	}
-	in.mode = req.Mode
-	if in.mode == "" {
-		in.mode = "sim"
-	}
-	// Lockstep is a batch-API (shard-dispatch) mode: grid sweeps reach it
-	// through /v1/batch via the cluster coordinator, not through /v1/sweep.
-	if in.mode != "sim" && in.mode != "sampled" && in.mode != "model" {
-		return sweepInputs{}, fmt.Errorf("%w: unknown mode %q (want sim, sampled or model)", errBadRequest, in.mode)
-	}
-	in.sampleDetailed, in.sampleSkip = req.SampleDetailed, req.SampleSkip
-	if in.mode == "sampled" && (in.sampleDetailed == 0 || in.sampleSkip == 0) {
-		return sweepInputs{}, fmt.Errorf("%w: sampled mode needs positive sample_detailed and sample_skip", errBadRequest)
-	}
-	return in, nil
-}
-
-// handleSweep streams a design-space sweep as NDJSON: one SweepPoint line
-// per grid point in completion order, then a SweepTrailer. The shared trace
-// and overlay are resolved once up front (so a second identical sweep is
-// pure cache hits); each point then runs as its own pool task, applying the
-// same backpressure as every other job.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.reject(w, http.StatusBadRequest, err, outcomeBadInput)
-		return
-	}
-	in, err := s.resolveSweep(&req)
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, err, outcomeBadInput)
-		return
-	}
-	tenant, priority, err := admission(r)
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, err, outcomeBadInput)
-		return
-	}
-
-	// Shared artifacts, once per sweep — and across sweeps via the caches.
-	// Sampled sweeps never compute an overlay: replay does not apply to
-	// fast-forwarded runs.
-	_, soa, err := s.sharedTrace(in.wc, in.insts)
-	if err != nil {
-		s.reject(w, http.StatusInternalServerError, err, outcomeError)
-		return
-	}
-	// Speculation artifacts follow the request's resolved predictor (the
-	// baseline unless the sweep names a preset), so every predictor kind
-	// gets its own memoized overlay and model.
-	var ov *overlay.Overlay
-	if in.mode != "sampled" {
-		if ov, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
-			s.reject(w, http.StatusInternalServerError, err, outcomeError)
-			return
-		}
-	}
-	var set *core.ModelSet
-	if in.mode == "model" {
-		maxROB := 2
-		for _, rob := range in.robs {
-			if rob > maxROB {
-				maxROB = rob
-			}
-		}
-		set, err = core.NewModelSet(soa, ov, in.cfg, maxROB, in.warmup, in.insts)
-		if err != nil {
-			s.reject(w, http.StatusInternalServerError, err, outcomeError)
-			return
-		}
-	}
-
-	// Enumerate the grid in canonical order; Seq is the canonical index.
-	type gridPoint struct {
-		seq               int
-		width, depth, rob int
-	}
-	var points []gridPoint
-	for _, width := range in.widths {
-		for _, depth := range in.depths {
-			for _, rob := range in.robs {
-				points = append(points, gridPoint{len(points), width, depth, rob})
-			}
-		}
-	}
-
-	// Admission check before committing to a stream: if the queue cannot
-	// take even one point now, turn the whole sweep away.
-	if ps := s.pool.Stats(); ps.Queued >= ps.Capacity {
-		w.Header().Set("Retry-After", s.retryAfter())
-		s.reject(w, http.StatusTooManyRequests, ErrQueueFull, outcomeRejected)
-		return
-	}
-
-	lines := make(chan SweepPoint, len(points))
-	var wg sync.WaitGroup
-	wg.Add(len(points))
-	go func() {
-		wg.Wait()
-		close(lines)
-	}()
-
-	// Submit every point; later points block for queue space (backpressure)
-	// rather than failing mid-stream.
-	go func() {
-		for _, pt := range points {
-			pt := pt
-			cfg := experiments.Point(pt.width, pt.depth, pt.rob)
-			cfg.Pred = in.cfg.Pred
-			cfg.VPred = in.cfg.VPred
-			cfg.FetchRate = in.cfg.FetchRate
-			line := SweepPoint{Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob}
-			t := &task{
-				name:     fmt.Sprintf("sweep-%s-%s", in.wc.Name, cfg.Name),
-				timeout:  in.timeout,
-				priority: priority,
-				tenant:   tenant,
-				// A dropped connection must stop the sweep's work, not
-				// just its output: queued points are skipped and running
-				// ones canceled, freeing the worker slots promptly.
-				parent: r.Context(),
-				run: func(ctx context.Context) error {
-					switch in.mode {
-					case "model":
-						return s.modelSweepPoint(cfg, set, &line)
-					case "sampled":
-						return s.sampledSweepPoint(ctx, soa, cfg, in, &line)
-					default:
-						return s.simSweepPoint(ctx, soa, ov, cfg, in.warmup, &line)
-					}
-				},
-				finish: func(err error, d time.Duration) {
-					outcome := classify(err)
-					s.metrics.observe(outcome, d)
-					if err != nil {
-						// Do not touch line on failure: an abandoned run may
-						// still be writing it. Emit a fresh error point.
-						lines <- SweepPoint{
-							Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob,
-							Error: err.Error(), Outcome: outcome,
-						}
-					} else {
-						lines <- line
-					}
-					wg.Done()
-				},
-			}
-			if err := s.pool.SubmitWait(r.Context(), t); err != nil {
-				outcome := classify(err)
-				s.metrics.count(outcome)
-				lines <- SweepPoint{
-					Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob,
-					Error: err.Error(), Outcome: outcome,
-				}
-				wg.Done()
-			}
-		}
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	ok, failed := 0, 0
-	for line := range lines {
-		if line.Error == "" {
-			ok++
-		} else {
-			failed++
-		}
-		enc.Encode(line) //nolint:errcheck // keep draining for the finishers
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc.Encode(SweepTrailer{ //nolint:errcheck
-		Done: true, Points: len(points), OK: ok, Failed: failed,
-		Mode: in.mode, Elapsed: time.Since(start).Round(time.Millisecond).String(),
-	})
-}
-
-// simSweepPoint runs one cycle-level grid point into line.
-func (s *Server) simSweepPoint(ctx context.Context, soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmup uint64, line *SweepPoint) error {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		RecordMispredicts: true,
-		WarmupInsts:       warmup,
-		Overlay:           ov,
-	})
-	if err != nil {
-		return err
-	}
-	line.IPC = res.IPC()
-	line.AvgMispredictPenalty = res.AvgMispredictPenalty()
-	line.Cycles = res.Cycles
-	line.Path = res.Path
-	line.Fallback = res.Fallback
-	return nil
-}
-
-// sampledSweepPoint runs one grid point under systematic sampling into line:
-// the ratio-estimator CPI with its confidence interval instead of the
-// penalty statistics. The sweep's warmup is the initial functional skip.
-func (s *Server) sampledSweepPoint(ctx context.Context, soa *trace.SoA, cfg uarch.Config, in sweepInputs, line *SweepPoint) error {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		SampleStartSkip: in.warmup,
-		SampleDetailed:  in.sampleDetailed,
-		SampleSkip:      in.sampleSkip,
-	})
-	if err != nil {
-		return err
-	}
-	st := res.Sample
-	if st == nil {
-		return fmt.Errorf("%s: sampled run carries no sample statistics", cfg.Name)
-	}
-	line.IPC = res.IPC()
-	line.Cycles = res.Cycles
-	line.Path = res.Path
-	line.Fallback = res.Fallback
-	line.CPI = st.CPI.Mean
-	line.CPILo = st.CPI.Lower
-	line.CPIHi = st.CPI.Upper
-	line.CPIRelErr = st.CPI.RelErr
-	line.SampleUnits = st.Units
-	return nil
-}
-
-// modelSweepPoint evaluates one analytic-model grid point into line.
-func (s *Server) modelSweepPoint(cfg uarch.Config, set *core.ModelSet, line *SweepPoint) error {
-	m, prof, err := set.For(cfg)
-	if err != nil {
-		return err
-	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return err
-	}
-	pen, err := modelPenalty(m, prof)
-	if err != nil {
-		return err
-	}
-	insts := float64(pred.Insts)
-	line.CPIBase = pred.Base / insts
-	line.CPIBpred = pred.Bpred / insts
-	line.CPIICache = pred.ICache / insts
-	line.CPILongData = pred.LongData / insts
-	line.CPIVMisspec = pred.VMisspec / insts
-	line.AvgMispredictPenalty = pen
-	if cpi := pred.CPI(); cpi > 0 {
-		line.IPC = 1 / cpi
-	}
-	line.Path = "model"
-	return nil
 }

@@ -290,18 +290,19 @@ func TestOverload429(t *testing.T) {
 	}
 }
 
-// readSweep consumes an NDJSON sweep stream.
-func readSweep(t *testing.T, resp *http.Response) ([]SweepPoint, SweepTrailer) {
+// readStream consumes an NDJSON sweep or batch stream: points of type P,
+// then the trailer.
+func readStream[P any](t *testing.T, resp *http.Response) ([]P, SweepTrailer) {
 	t.Helper()
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: status %d", resp.StatusCode)
+		t.Fatalf("stream: status %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("sweep: content-type %q", ct)
+		t.Fatalf("stream: content-type %q", ct)
 	}
 	var (
-		points  []SweepPoint
+		points  []P
 		trailer SweepTrailer
 	)
 	sc := bufio.NewScanner(resp.Body)
@@ -315,7 +316,7 @@ func readSweep(t *testing.T, resp *http.Response) ([]SweepPoint, SweepTrailer) {
 			}
 			continue
 		}
-		var pt SweepPoint
+		var pt P
 		if err := json.Unmarshal(line, &pt); err != nil {
 			t.Fatalf("point: %v", err)
 		}
@@ -325,6 +326,16 @@ func readSweep(t *testing.T, resp *http.Response) ([]SweepPoint, SweepTrailer) {
 		t.Fatalf("scan: %v", err)
 	}
 	return points, trailer
+}
+
+func readSweep(t *testing.T, resp *http.Response) ([]SweepPoint, SweepTrailer) {
+	t.Helper()
+	return readStream[SweepPoint](t, resp)
+}
+
+func readBatch(t *testing.T, resp *http.Response) ([]BatchPoint, BatchTrailer) {
+	t.Helper()
+	return readStream[BatchPoint](t, resp)
 }
 
 // TestSweepStreamAndOverlayReuse: a sweep streams every grid point plus a
@@ -415,7 +426,7 @@ func TestSweepModelMode(t *testing.T) {
 
 // TestSweepSampledMode: a sampled sweep streams the ratio-estimator CPI
 // interval per point, never computes an overlay, and rejects requests
-// without the sampling phase lengths. Lockstep stays a batch-API mode.
+// without the sampling phase lengths.
 func TestSweepSampledMode(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 
@@ -452,7 +463,7 @@ func TestSweepSampledMode(t *testing.T) {
 
 	for name, body := range map[string]SweepRequest{
 		"sampled without phases": {Benchmark: "vpr", Insts: 60_000, Mode: "sampled"},
-		"lockstep not a sweep mode": {Benchmark: "vpr", Insts: 60_000, Mode: "lockstep"},
+		"unknown mode":           {Benchmark: "vpr", Insts: 60_000, Mode: "oracular"},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/sweep", body)
 		resp.Body.Close()

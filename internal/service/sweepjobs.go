@@ -10,9 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"intervalsim/internal/core"
-	"intervalsim/internal/experiments"
-	"intervalsim/internal/overlay"
 	"intervalsim/internal/store"
 	"intervalsim/internal/workload"
 )
@@ -118,7 +115,7 @@ func (s *Server) handleSweepJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if _, ok, gerr := s.opts.Store.Get(csvKey(id)); gerr == nil && ok {
 		s.metrics.count(outcomeCached)
 		writeJSON(w, http.StatusOK, s.jobs.completeCached(id, "sweep", mustJSON(SweepJobResult{
-			Points:  len(in.widths) * len(in.depths) * len(in.robs),
+			Points:  len(in.points),
 			Mode:    in.mode,
 			CSVPath: "/v1/sweepjobs/" + id + "/csv",
 		})))
@@ -273,107 +270,39 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 		s.jobs.markFinished(id, classify(err), err.Error(), time.Since(start))
 	}
 
-	// Shared artifacts, exactly as the streaming sweep resolves them.
-	_, soa, err := s.sharedTrace(in.wc, in.insts)
+	a, err := s.artifacts(&in)
 	if err != nil {
 		failJob(err)
 		return
 	}
-	var ov *overlay.Overlay
-	if in.mode != "sampled" {
-		if ov, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
-			failJob(err)
-			return
+	total := len(in.points)
+	todo := in
+	todo.points = nil
+	for _, sp := range in.points {
+		if _, ok := done[sp.Seq]; !ok {
+			todo.points = append(todo.points, sp)
 		}
 	}
-	var set *core.ModelSet
-	if in.mode == "model" {
-		maxROB := 2
-		for _, rob := range in.robs {
-			if rob > maxROB {
-				maxROB = rob
-			}
-		}
-		set, err = core.NewModelSet(soa, ov, in.cfg, maxROB, in.warmup, in.insts)
-		if err != nil {
-			failJob(err)
-			return
-		}
-	}
-
-	type gridPoint struct {
-		seq               int
-		width, depth, rob int
-	}
-	var todo []gridPoint
-	total := 0
-	for _, width := range in.widths {
-		for _, depth := range in.depths {
-			for _, rob := range in.robs {
-				seq := total
-				total++
-				if _, ok := done[seq]; !ok {
-					todo = append(todo, gridPoint{seq, width, depth, rob})
-				}
-			}
-		}
-	}
-
 	var (
 		mu     sync.Mutex // guards done, failed, and journal appends
 		failed int
-		wg     sync.WaitGroup
 	)
-	wg.Add(len(todo))
-	for _, pt := range todo {
-		pt := pt
-		cfg := experiments.Point(pt.width, pt.depth, pt.rob)
-		cfg.Pred = in.cfg.Pred
-		cfg.VPred = in.cfg.VPred
-		cfg.FetchRate = in.cfg.FetchRate
-		line := SweepPoint{Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob}
-		t := &task{
-			name:     fmt.Sprintf("sweepjob-%s-%d", id, pt.seq),
-			timeout:  in.timeout,
-			priority: spec.Priority,
-			tenant:   spec.Tenant,
-			run: func(ctx context.Context) error {
-				switch in.mode {
-				case "model":
-					return s.modelSweepPoint(cfg, set, &line)
-				case "sampled":
-					return s.sampledSweepPoint(ctx, soa, cfg, in, &line)
-				default:
-					return s.simSweepPoint(ctx, soa, ov, cfg, in.warmup, &line)
-				}
-			},
-			finish: func(err error, d time.Duration) {
-				defer wg.Done()
-				s.metrics.observe(classify(err), d)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					failed++
-					return
-				}
-				// Commit-before-count: the point only becomes durable state
-				// once its journal record is fsync'd.
-				if _, jerr := j.Append(store.JournalPoint, mustJSON(line)); jerr != nil {
-					failed++
-					return
-				}
-				done[pt.seq] = line
-			},
-		}
-		if err := s.pool.SubmitWait(context.Background(), t); err != nil {
-			s.metrics.count(classify(err))
-			mu.Lock()
+	s.runPoints(context.Background(), spec.Tenant, spec.Priority, &todo, a, "sweepjob", func(pt BatchPoint) {
+		mu.Lock()
+		defer mu.Unlock()
+		if pt.Error != "" {
 			failed++
-			mu.Unlock()
-			wg.Done()
+			return
 		}
-	}
-	wg.Wait()
+		// Commit-before-count: the point only becomes durable state once its
+		// journal record is fsync'd.
+		line := pt.sweepPoint()
+		if _, err := j.Append(store.JournalPoint, mustJSON(line)); err != nil {
+			failed++
+			return
+		}
+		done[pt.Seq] = line
+	})
 
 	if failed > 0 {
 		failJob(fmt.Errorf("service: %d of %d sweep points failed; %d committed points will resume on retry",

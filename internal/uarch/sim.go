@@ -204,8 +204,8 @@ type simulator struct {
 	lastCommitTick uint64
 	warm           *warmSnapshot
 
-	// Run-loop parameters resolved once by initRun so step() stays branchless
-	// on Options defaults.
+	// The no-progress watchdog limit, resolved once by run so step() stays
+	// branchless on the Options default.
 	noProgress uint64
 
 	// skipped counts the cycles skipDead jumped over; tests read it to check
@@ -436,7 +436,10 @@ const ctxPollMask = 0x3ff
 var skipDeadCycles = true
 
 func (s *simulator) run(ctx context.Context) (*Result, error) {
-	s.initRun()
+	s.noProgress = s.opts.NoProgressCycles
+	if s.noProgress == 0 {
+		s.noProgress = 1_000_000
+	}
 	for {
 		done, err := s.step(ctx)
 		if err != nil {
@@ -449,22 +452,10 @@ func (s *simulator) run(ctx context.Context) (*Result, error) {
 	return s.finalize(), nil
 }
 
-// initRun resolves the run-loop parameters Options leaves defaulted. It must
-// be called once before the first step.
-func (s *simulator) initRun() {
-	s.noProgress = s.opts.NoProgressCycles
-	if s.noProgress == 0 {
-		s.noProgress = 1_000_000
-	}
-}
-
 // step advances the simulation by one cycle (commit → issue → dispatch →
 // fetch, with the watchdog and cancellation checks of a full run) and, when
 // that cycle was dead, on over the dead cycles behind it (skipDead). It
-// reports whether the run is complete. It is the unit the lockstep driver
-// interleaves: because a simulator's transition function reads only its own
-// state, any interleaving of step calls across simulators produces the same
-// per-simulator results as running each to completion serially.
+// reports whether the run is complete.
 func (s *simulator) step(ctx context.Context) (bool, error) {
 	more, err := s.moreInsts()
 	if err != nil {

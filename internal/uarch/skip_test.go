@@ -69,7 +69,7 @@ func TestDeadCycleSkipMatchesReference(t *testing.T) {
 		programs = programs[:2]
 	}
 	for _, wc := range programs {
-		soa := lockstepTrace(t, wc.Name, 20_000)
+		soa := packedTrace(t, wc.Name, 20_000)
 		for _, cfg := range skipConfigs(wc) {
 			ov, err := overlay.ComputeSpec(soa, cfg.Pred, cfg.Mem, cfg.VPred)
 			if err != nil {
@@ -102,42 +102,12 @@ func TestDeadCycleSkipMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDeadCycleSkipLockstep: SimulateMany interleaves the step calls of
-// several simulators, each skipping on its own; every member must still
-// match its serial run on the reference loop, live and replayed.
-func TestDeadCycleSkipLockstep(t *testing.T) {
-	soa := lockstepTrace(t, "mcf", 40_000)
-	base := Baseline()
-	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := lockstepConfigs(4)
-	opts := Options{RecordEvents: true, RecordMispredicts: true}
-	for _, o := range []*overlay.Overlay{nil, ov} {
-		many, err := SimulateMany(context.Background(), soa, o, cfgs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialOpts := opts
-		serialOpts.Overlay = o
-		for i, cfg := range cfgs {
-			var ref *Result
-			onLoop(false, func() { ref, err = Run(soa.Reader(), cfg, serialOpts) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareResults(t, ref, many[i])
-		}
-	}
-}
-
 // TestDeadCycleSkipEngages guards the speed-up itself, which the
 // differential tests cannot see: they pass just as well when nothing is
 // skipped. Memory-bound mcf stalls behind long misses for most of its
 // cycles, so most of them must be skipped.
 func TestDeadCycleSkipEngages(t *testing.T) {
-	s, err := newSimulator(lockstepTrace(t, "mcf", 50_000).Reader(), Baseline(), Options{})
+	s, err := newSimulator(packedTrace(t, "mcf", 50_000).Reader(), Baseline(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +131,7 @@ func TestCycleAccountingIdentity(t *testing.T) {
 		"sampled":   {SampleStartSkip: 5_000, SampleDetailed: 4_000, SampleSkip: 6_000},
 	}
 	for _, wc := range workload.Suite() {
-		soa := lockstepTrace(t, wc.Name, 20_000)
+		soa := packedTrace(t, wc.Name, 20_000)
 		for mname, opts := range modes {
 			opts.TimelineCycles = timeline
 			for _, skip := range []bool{true, false} {

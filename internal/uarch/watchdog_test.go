@@ -89,7 +89,7 @@ func TestCancelSeenDuringLongStall(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.initRun()
+				s.noProgress = 1_000_000 // what run resolves for a zero NoProgressCycles
 				// Run until a long miss at the ROB head is still outstanding at
 				// the next poll boundary.
 				stalled := func() bool {
