@@ -85,26 +85,6 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(float64(soa.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
-// BenchmarkSimulatorGeneric measures the same run through the generic
-// streaming Reader path (live dependence tracking), the fallback for
-// sampled runs and arbitrary readers.
-func BenchmarkSimulatorGeneric(b *testing.B) {
-	wc, _ := workload.SuiteConfig("crafty")
-	tr, err := trace.ReadAll(workload.MustNew(wc, 200_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := uarch.Baseline()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Run(tr.Reader(), cfg, uarch.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
-}
-
 // BenchmarkSimulatorReplay measures the overlay-replay fast path: identical
 // cycle-level results to BenchmarkSimulator, with branch-predictor and
 // I-cache outcomes replayed from a precomputed miss-event overlay instead

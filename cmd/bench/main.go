@@ -5,13 +5,12 @@
 //
 // The matrix is fixed on purpose: the same benchmarks, instruction counts,
 // and configurations every run, so numbers are comparable across commits.
-// Two simulator paths are measured per benchmark — the struct-of-arrays
-// fast path (trace packed once, dependences precomputed) and the generic
-// streaming-Reader path (live dependence tracking) — because regressions
-// can hide in either. A sweep-level metric follows the matrix: the
-// wall-clock of a whole depth×ROB sweep run live, with overlay replay, and
-// with the analytic model off a shared overlay, plus the overlay cache hit
-// rate — the end-to-end numbers the miss-event overlay exists to improve.
+// Each benchmark's trace is packed once and simulated with precomputed
+// dependences, as every sweep runs it. A sweep-level metric follows the
+// matrix: the wall-clock of a whole depth×ROB sweep run live, with overlay
+// replay, and with the analytic model off a shared overlay, plus the overlay
+// cache hit rate — the end-to-end numbers the miss-event overlay exists to
+// improve.
 //
 // Usage:
 //
@@ -50,10 +49,10 @@ import (
 
 func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// benchPoint is one (benchmark, path) cell of the matrix.
+// benchPoint is one benchmark's row of the matrix.
 type benchPoint struct {
 	Benchmark    string  `json:"benchmark"`
-	Path         string  `json:"path"` // "soa" or "generic"
+	Path         string  `json:"path"` // Result.Path of the run: "soa"
 	Insts        uint64  `json:"insts"`
 	Runs         int     `json:"runs"`
 	InstPerS     float64 `json:"inst_per_s"`
@@ -265,27 +264,17 @@ func run(quick bool, runs int, stdout io.Writer) (*benchReport, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		tr, err := trace.ReadAll(workload.MustNew(wc, insts))
+		soa, err := trace.PackReader(workload.MustNew(wc, insts))
 		if err != nil {
 			return nil, err
 		}
-		soa := trace.Pack(tr)
-		paths := []struct {
-			name string
-			mk   func() trace.Reader
-		}{
-			{"soa", func() trace.Reader { return soa.Reader() }},
-			{"generic", func() trace.Reader { return tr.Reader() }},
+		pt, err := measure(name, soa, cfg, runs)
+		if err != nil {
+			return nil, err
 		}
-		for _, p := range paths {
-			pt, err := measure(name, p.name, p.mk, cfg, runs)
-			if err != nil {
-				return nil, err
-			}
-			rep.Points = append(rep.Points, *pt)
-			fmt.Fprintf(stdout, "%-10s %-8s %12.2f %14d %8.3f\n",
-				pt.Benchmark, pt.Path, pt.InstPerS/1e6, pt.AllocsPerRun, pt.CPI)
-		}
+		rep.Points = append(rep.Points, *pt)
+		fmt.Fprintf(stdout, "%-10s %-8s %12.2f %14d %8.3f\n",
+			pt.Benchmark, pt.Path, pt.InstPerS/1e6, pt.AllocsPerRun, pt.CPI)
 	}
 	preds, err := measurePredictors(quick, runs, stdout)
 	if err != nil {
@@ -607,8 +596,8 @@ func sampledPhases(quick bool) (detailed, skip uint64) {
 // measure runs one matrix point `runs` times and keeps the best throughput
 // (least-interfered run) with the mean allocation count. A warmup run is
 // excluded so one-time pool growth doesn't count against steady state.
-func measure(bench, path string, mk func() trace.Reader, cfg uarch.Config, runs int) (*benchPoint, error) {
-	res, err := uarch.Run(mk(), cfg, uarch.Options{}) // warmup, excluded
+func measure(bench string, soa *trace.SoA, cfg uarch.Config, runs int) (*benchPoint, error) {
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{}) // warmup, excluded
 	if err != nil {
 		return nil, err
 	}
@@ -618,7 +607,7 @@ func measure(bench, path string, mk func() trace.Reader, cfg uarch.Config, runs 
 	for i := 0; i < runs; i++ {
 		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
-		res, err = uarch.Run(mk(), cfg, uarch.Options{})
+		res, err = uarch.Run(soa.Reader(), cfg, uarch.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -631,7 +620,7 @@ func measure(bench, path string, mk func() trace.Reader, cfg uarch.Config, runs 
 	}
 	return &benchPoint{
 		Benchmark:    bench,
-		Path:         path,
+		Path:         res.Path,
 		Insts:        res.Insts,
 		Runs:         runs,
 		InstPerS:     best,

@@ -9,8 +9,8 @@ import (
 )
 
 // TestQuickRun exercises the full -quick path end to end: it must produce a
-// valid JSON report covering both simulator paths for every benchmark in
-// the quick matrix, with sane metric values.
+// valid JSON report covering every benchmark in the quick matrix, with sane
+// metric values.
 func TestQuickRun(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	var stdout, stderr bytes.Buffer
@@ -29,7 +29,7 @@ func TestQuickRun(t *testing.T) {
 		t.Error("quick flag not recorded")
 	}
 	benches, _ := matrix(true)
-	if want := 2 * len(benches); len(rep.Points) != want {
+	if want := len(benches); len(rep.Points) != want {
 		t.Fatalf("got %d points, want %d", len(rep.Points), want)
 	}
 	for _, pt := range rep.Points {
@@ -41,18 +41,6 @@ func TestQuickRun(t *testing.T) {
 		}
 		if pt.Insts == 0 || pt.Cycles == 0 {
 			t.Errorf("%s/%s: empty run (insts=%d cycles=%d)", pt.Benchmark, pt.Path, pt.Insts, pt.Cycles)
-		}
-	}
-	// Both paths must agree on the architectural result: the SoA fast path
-	// is an optimization, not a different machine.
-	byKey := map[string]benchPoint{}
-	for _, pt := range rep.Points {
-		byKey[pt.Benchmark+"/"+pt.Path] = pt
-	}
-	for _, b := range benches {
-		soa, generic := byKey[b+"/soa"], byKey[b+"/generic"]
-		if soa.Cycles != generic.Cycles || soa.Insts != generic.Insts {
-			t.Errorf("%s: paths diverge (soa %d cycles / generic %d cycles)", b, soa.Cycles, generic.Cycles)
 		}
 	}
 	// The sweep metric: all three engines timed, replay cycle-exactness

@@ -21,9 +21,9 @@
 // fails (or hangs past -timeout) is reported on stderr while every other
 // point's CSV row is still emitted, in grid order, byte-identical to a
 // serial run. The exit code is 0 only when every point succeeded. After the
-// grid, stderr summarizes which simulator paths ran (generic, packed,
-// overlay replay) and any fast-path fallbacks, so a sweep that silently
-// degraded to a slower path is visible.
+// grid, stderr summarizes which simulator paths ran (packed trace, overlay
+// replay) and any fast-path fallbacks, so a sweep that silently degraded to
+// a slower path is visible.
 //
 // Usage:
 //

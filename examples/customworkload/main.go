@@ -43,6 +43,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Pack once: both machines simulate the same packed trace.
+	soa := trace.Pack(tr)
 
 	// Two machines built from scratch rather than from Baseline().
 	narrowDeep := machine("narrow-deep", 2, 14, 64)
@@ -51,7 +53,7 @@ func main() {
 	t := report.New("one workload, two machines",
 		"machine", "IPC", "avg penalty", "frontend", "drain+FU+D$", "residual")
 	for _, cfg := range []uarch.Config{narrowDeep, wideShallow} {
-		res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{
+		res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 			RecordEvents:      true,
 			RecordMispredicts: true,
 			RecordLoadLevels:  true,

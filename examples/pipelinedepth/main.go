@@ -29,6 +29,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Pack once: every depth simulates the same packed trace.
+	soa := trace.Pack(tr)
 
 	t := report.New("misprediction penalty vs frontend pipeline depth (crafty)",
 		"depth", "measured penalty", "model penalty", "measured - depth")
@@ -36,7 +38,7 @@ func main() {
 		cfg := uarch.Baseline()
 		cfg.FrontendDepth = depth
 
-		res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{
+		res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 			RecordMispredicts: true,
 			WarmupInsts:       100_000,
 		})

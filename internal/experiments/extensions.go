@@ -269,20 +269,24 @@ func A3(w io.Writer, p Params) error {
 	t := report.New("A3 (extension): sampled simulation (50K detailed / 150K functional warming)",
 		"benchmark", "full CPI", "sampled CPI", "err%", "detail fraction", "speedup")
 	for _, wc := range workload.Suite() {
-		mk := func() trace.Reader { return workload.MustNew(wc, p.Insts) }
+		st, err := suiteTraceFor(wc, p.Insts)
+		if err != nil {
+			return err
+		}
 
 		// Matched measurement regions: the full run discards its warmup
 		// statistics; the sampled run fast-forwards the same region
-		// functionally and then samples the remainder.
+		// functionally and then samples the remainder. Both simulate the
+		// shared packed trace, so the speedup times simulation alone.
 		t0 := timeNow()
-		full, err := uarch.Run(mk(), cfg, uarch.Options{WarmupInsts: p.Warmup})
+		full, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
 		if err != nil {
 			return err
 		}
 		fullDur := timeNow() - t0
 
 		t1 := timeNow()
-		sampled, err := uarch.Run(mk(), cfg, uarch.Options{
+		sampled, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{
 			SampleStartSkip: p.Warmup,
 			SampleDetailed:  50_000,
 			SampleSkip:      150_000,

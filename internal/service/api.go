@@ -99,10 +99,17 @@ func (m MachineSpec) resolve() (uarch.Config, error) {
 		if cfg.Name == "" {
 			cfg.Name = "custom"
 		}
+		// Bounds first: Validate builds the predictor.
+		if err := checkBounds(configBounds(&cfg)); err != nil {
+			return uarch.Config{}, err
+		}
 		if err := cfg.Validate(); err != nil {
 			return uarch.Config{}, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
 		return cfg, nil
+	}
+	if err := checkBounds(knobBounds("machine.", m.Width, m.Depth, m.ROB)); err != nil {
+		return uarch.Config{}, err
 	}
 	base := uarch.Baseline()
 	w, d, r := m.Width, m.Depth, m.ROB
@@ -180,6 +187,9 @@ func (s *Server) resolveSimulate(req *SimulateRequest) (simInputs, error) {
 		}
 		in.wc = wc
 	case req.Workload != nil:
+		if err := checkBounds(workloadBounds(req.Workload)); err != nil {
+			return in, err
+		}
 		if err := req.Workload.Validate(); err != nil {
 			return in, fmt.Errorf("%w: %v", errBadRequest, err)
 		}

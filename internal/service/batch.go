@@ -100,9 +100,12 @@ func (s *Server) resolveBatch(req *BatchRequest) (sweepInputs, error) {
 	if len(req.Points) == 0 {
 		return sweepInputs{}, fmt.Errorf("%w: batch has no points", errBadRequest)
 	}
-	for _, sp := range req.Points {
+	for i, sp := range req.Points {
 		if sp.Width <= 0 || sp.Depth <= 0 || sp.ROB <= 0 {
 			return sweepInputs{}, fmt.Errorf("%w: point seq %d has non-positive knobs", errBadRequest, sp.Seq)
+		}
+		if err := checkBounds(knobBounds(fmt.Sprintf("points[%d].", i), sp.Width, sp.Depth, sp.ROB)); err != nil {
+			return sweepInputs{}, err
 		}
 	}
 	in := sweepInputs{points: req.Points, decompose: req.Decompose}

@@ -14,7 +14,8 @@ import (
 // /v1/simulate (and /v1/model), /v1/sweep (and /v1/sweepjobs) and /v1/batch:
 // decodeJSON, then the endpoint's resolver. Nothing is simulated. Admission
 // must never panic, every rejection must wrap errBadRequest (so it maps to
-// HTTP 400), and every accepted request must sit inside the server's limits.
+// HTTP 400), and every accepted request must sit inside the server's limits
+// and the admission bounds on size-bearing fields.
 func FuzzRequestAdmission(f *testing.F) {
 	for _, seed := range []string{
 		`{"benchmark":"gzip","insts":20000,"warmup":4000,"machine":{"width":4,"depth":7,"rob":128}}`,
@@ -34,6 +35,9 @@ func FuzzRequestAdmission(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
+	for _, rq := range oversizedRequests(f) {
+		f.Add([]byte(rq.body))
+	}
 	// testdata/fuzz/FuzzRequestAdmission holds more seeds: bodies of modes
 	// and fields the API no longer has, and inputs that once panicked.
 	s := &Server{opts: Options{MaxInsts: 1_000_000, MaxSweepPoints: 64}.withDefaults()}
@@ -49,6 +53,13 @@ func FuzzRequestAdmission(f *testing.F) {
 			}
 			return err == nil
 		}
+		within := func(what string, bs []bound) {
+			for _, b := range bs {
+				if b.v > b.limit {
+					t.Fatalf("%s: admitted %s %d past its bound %d", what, b.field, b.v, b.limit)
+				}
+			}
+		}
 		checkSim := func(what string, in simInputs) {
 			if in.insts < 1000 || in.insts > s.opts.MaxInsts || in.warmup >= uint64(in.insts) {
 				t.Fatalf("%s: admitted insts %d / warmup %d", what, in.insts, in.warmup)
@@ -59,6 +70,8 @@ func FuzzRequestAdmission(f *testing.F) {
 			if err := in.cfg.Validate(); err != nil {
 				t.Fatalf("%s: admitted an invalid machine: %v", what, err)
 			}
+			within(what, configBounds(&in.cfg))
+			within(what, workloadBounds(&in.wc))
 		}
 		checkSweep := func(what string, in sweepInputs) {
 			checkSim(what, in.simInputs)
@@ -69,6 +82,7 @@ func FuzzRequestAdmission(f *testing.F) {
 				if sp.Width <= 0 || sp.Depth <= 0 || sp.ROB <= 0 {
 					t.Fatalf("%s: admitted point %+v", what, sp)
 				}
+				within(what, knobBounds("point ", sp.Width, sp.Depth, sp.ROB))
 			}
 			switch in.mode {
 			case "sim", "model":

@@ -74,10 +74,17 @@ func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
 	if len(in.robs) == 0 {
 		in.robs = []int{64, 128, 256}
 	}
-	for _, axis := range [][]int{in.widths, in.depths, in.robs} {
-		for _, v := range axis {
+	for _, axis := range []struct {
+		name  string
+		vs    []int
+		limit int
+	}{{"widths", in.widths, maxWidth}, {"depths", in.depths, maxDepth}, {"robs", in.robs, maxROB}} {
+		for _, v := range axis.vs {
 			if v <= 0 {
 				return sweepInputs{}, fmt.Errorf("%w: axis values must be positive", errBadRequest)
+			}
+			if err := checkBounds([]bound{{axis.name, v, axis.limit}}); err != nil {
+				return sweepInputs{}, err
 			}
 		}
 	}

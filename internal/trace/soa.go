@@ -214,7 +214,8 @@ func (s *SoA) Unpack() *Trace {
 
 // Reader returns a fresh streaming reader over the packed trace. The
 // returned reader satisfies the ordinary Reader contract, and the simulator
-// recognizes its concrete type to switch to the index-based hot path.
+// recognizes its concrete type to run on this trace directly instead of
+// packing a copy.
 func (s *SoA) Reader() *SoAReader { return &SoAReader{soa: s} }
 
 // SoAReader streams a packed trace through the generic Reader interface

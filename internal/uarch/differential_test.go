@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,8 +12,7 @@ import (
 
 // diffOptions are the instrumentation matrices the differential tests cover:
 // bare runs, fully recorded runs, warmup subtraction, instruction limits,
-// wrong-path fetch, and sampled simulation (which forces the fast path to
-// fall back to live dependence tracking).
+// wrong-path fetch, and sampled simulation (which tracks dependences live).
 func diffOptions() map[string]Options {
 	return map[string]Options{
 		"bare":     {},
@@ -25,11 +26,29 @@ func diffOptions() map[string]Options {
 	}
 }
 
-// TestRunPathsIdentical is the contract behind the hot-path optimization:
-// the index-based struct-of-arrays path (packed trace, precomputed
-// dependence metadata, pooled buffers) must produce results that are
-// bit-identical to the generic streaming path — every counter, every stall
-// bucket, every event, record, timeline entry, and load level.
+// randomMachine derives a machine from a seed over the axes a sweep varies:
+// width, frontend depth, ROB and issue-queue size. ROB sizes are mostly not
+// powers of two, so slots wrap unevenly.
+func randomMachine(seed uint64) Config {
+	pick := func(shift uint, mod int) int { return int((seed >> shift) % uint64(mod)) }
+	c := Baseline()
+	c.Name = fmt.Sprintf("rand-%#x", seed)
+	w := 1 << pick(0, 4) // 1, 2, 4 or 8 wide
+	c.FetchWidth, c.DispatchWidth, c.IssueWidth, c.CommitWidth = w, w, w, w
+	c.FrontendDepth = 2 + pick(8, 14)
+	c.ROBSize = 24 + 8*pick(16, 30)
+	c.IQSize = min(8+4*pick(24, 16), c.ROBSize)
+	return c
+}
+
+// TestRunPathsIdentical is the contract behind precomputed dependences: a
+// run that reads operand and memory producers from the metadata computed at
+// pack time must be bit-identical to one that tracks them live — every
+// counter, stall bucket, event, record, timeline entry, and load level —
+// across workloads, machines (seeded random ones included) and option sets.
+// The precomputed side also takes the plain-reader entry, which packs the
+// trace on entry (behind a limit under MaxInsts); sampled runs track
+// dependences live on both sides, so for them that entry is what is checked.
 func TestRunPathsIdentical(t *testing.T) {
 	cfgs := map[string]Config{"baseline": Baseline()}
 	small := Baseline()
@@ -38,6 +57,10 @@ func TestRunPathsIdentical(t *testing.T) {
 	small.IQSize = 24
 	small.FrontendDepth = 9
 	cfgs["small"] = small
+	for _, seed := range []uint64{0x5eed0001, 0x5eed1f2e, 0xc0ffee77} {
+		c := randomMachine(seed)
+		cfgs[c.Name] = c
+	}
 
 	for _, wname := range []string{"gzip", "mcf", "crafty"} {
 		wc, ok := workload.SuiteConfig(wname)
@@ -52,15 +75,20 @@ func TestRunPathsIdentical(t *testing.T) {
 		for cname, cfg := range cfgs {
 			for oname, opts := range diffOptions() {
 				t.Run(wname+"/"+cname+"/"+oname, func(t *testing.T) {
-					generic, err := Run(tr.Reader(), cfg, opts)
+					s, err := newSimulator(soa, cfg, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fast, err := Run(soa.Reader(), cfg, opts)
+					s.preDeps = false
+					live, err := s.run(context.Background())
 					if err != nil {
 						t.Fatal(err)
 					}
-					compareResults(t, generic, fast)
+					pre, err := Run(tr.Reader(), cfg, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, live, pre)
 				})
 			}
 		}

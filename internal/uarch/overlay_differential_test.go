@@ -115,7 +115,9 @@ func TestOverlayFallback(t *testing.T) {
 	}
 
 	opts := Options{Overlay: ov}
-	check("generic reader", tr.Reader(), cfg, opts, "not a packed trace")
+	// Run packs any other reader into a trace of its own, which the overlay
+	// was not computed for.
+	check("plain reader", tr.Reader(), cfg, opts, "different trace")
 
 	sampled := opts
 	sampled.SampleDetailed, sampled.SampleSkip = 2_000, 3_000

@@ -145,11 +145,11 @@ type Options struct {
 	// precomputed overlay instead of live bpred.Unit / L1I lookups (the data
 	// side and the shared L2 stay live, so results are bit-identical to a
 	// live run — see TestOverlayReplayMatchesLive). The overlay is used only
-	// when it provably applies: the reader must be the packed trace the
-	// overlay was computed over, the run must be unsampled without wrong-path
-	// fetch, and the config's predictor and cache-geometry fingerprints must
-	// match the overlay's. Otherwise the simulator silently falls back to
-	// live simulation and records why in Result.Fallback.
+	// when it provably applies: the reader must stream, from its start, the
+	// packed trace the overlay was computed over, the run must be unsampled
+	// without wrong-path fetch, and the config's predictor and cache-geometry
+	// fingerprints must match the overlay's. Otherwise the simulator silently
+	// falls back to live simulation and records why in Result.Fallback.
 	Overlay *overlay.Overlay
 }
 
@@ -225,16 +225,15 @@ type StallCycles struct {
 type Result struct {
 	Config Config
 
-	// Path names the simulator path the run actually took: "generic" (the
-	// streaming-Reader path with live dependence tracking), "soa" (the
-	// index-based packed-trace path), or "soa+overlay" (packed trace with
+	// Path names the simulator path the run actually took: "soa" (live
+	// speculation over the packed trace) or "soa+overlay" (packed trace with
 	// replayed speculation outcomes). Sweeps report it so a silently
 	// bypassed fast path is visible instead of just slow.
 	Path string
 	// Fallback explains every fast path this run bypassed and why (empty
 	// when nothing was bypassed): a sampled run falling back to live
-	// dependence tracking, a rejected overlay, a packed reader not at the
-	// trace start. Multiple reasons are joined with "; ".
+	// dependence tracking, a rejected overlay. Multiple reasons are joined
+	// with "; ".
 	Fallback string
 
 	// Sampled is set when the run used sampled simulation; Insts and Cycles

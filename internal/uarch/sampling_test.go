@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"intervalsim/internal/cache"
+	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
+	"intervalsim/internal/vpred"
 	"intervalsim/internal/workload"
 )
 
@@ -158,47 +161,110 @@ func TestSampledCICoversFullRun(t *testing.T) {
 	}
 }
 
-// TestSampledSoAMatchesGeneric pins the packed-trace functional
-// fast-forward (skipFunctionalSoA, which reads only the columns each
-// instruction class needs) against the generic streaming one: a sampled run
-// must produce identical cycle counts, event counters, and confidence
-// intervals whichever reader feeds it. Any divergence means the narrow SoA
-// reads changed the warming access sequence.
-func TestSampledSoAMatchesGeneric(t *testing.T) {
+// TestSkipWarmingMatchesOverlay pins functional warming to the overlay
+// pre-pass, which runs the branch predictor, the L1 I-cache and the value
+// predictor over every instruction of the trace in program order. The skip
+// phases must warm them with the identical access sequence, so that every
+// detailed instruction sees the outcome the pre-pass recorded for it. On a
+// one-wide machine every detailed phase is exactly SampleDetailed
+// instructions — the ranges [S0+k(D+K), S0+k(D+K)+D) — and the sampled run's
+// counts must equal the overlay's outcome bits summed over those ranges.
+func TestSkipWarmingMatchesOverlay(t *testing.T) {
+	const insts = 200_000
 	opts := Options{
 		SampleStartSkip: ciTestStartSkip,
 		SampleDetailed:  ciTestDetailed,
 		SampleSkip:      ciTestSkip,
 	}
-	for _, name := range []string{"gzip", "mcf", "crafty"} {
+	cfg := Baseline()
+	cfg.Name = "w1"
+	cfg.FetchWidth, cfg.DispatchWidth, cfg.IssueWidth, cfg.CommitWidth = 1, 1, 1, 1
+	for _, name := range []string{"gcc", "crafty", "mcf", "vortex"} {
 		wc, _ := workload.SuiteConfig(name)
-		tr, err := trace.ReadAll(workload.MustNew(wc, 100_000))
-		if err != nil {
-			t.Fatal(err)
+		soa := packedTrace(t, name, insts)
+		vp, _ := vpred.Preset("stride")
+		vp.Stream = wc.ValueStream()
+		for _, vpc := range []*vpred.Config{nil, &vp} {
+			cfg.VPred = vpc
+			ov, err := overlay.ComputeSpec(soa, cfg.Pred, cfg.Mem, cfg.VPred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want Result
+			for lo := opts.SampleStartSkip; lo < insts; lo += opts.SampleDetailed + opts.SampleSkip {
+				for i := int(lo); i < int(min(lo+opts.SampleDetailed, insts)); i++ {
+					want.Insts++
+					if ov.Mispredicted(i) {
+						want.Mispredicts++
+					}
+					if lvl, ok := ov.IClass(i); ok && lvl != cache.L1Hit {
+						want.ICacheMisses++
+					}
+					if ov.ValuePredHit(i) {
+						want.ValuePredHits++
+					}
+					if ov.ValueMisspec(i) {
+						want.ValueMisspecs++
+					}
+				}
+			}
+			got, err := Run(soa.Reader(), cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct {
+				name      string
+				want, got uint64
+			}{
+				{"Insts", want.Insts, got.Insts},
+				{"Mispredicts", want.Mispredicts, got.Mispredicts},
+				{"ICacheMisses", want.ICacheMisses, got.ICacheMisses},
+				{"ValuePredHits", want.ValuePredHits, got.ValuePredHits},
+				{"ValueMisspecs", want.ValueMisspecs, got.ValueMisspecs},
+			} {
+				if f.want != f.got {
+					t.Errorf("%s (vpred %v): %s = %d, overlay over the detailed ranges says %d",
+						name, vpc != nil, f.name, f.got, f.want)
+				}
+			}
 		}
-		soa := trace.Pack(tr)
-		fromSoA, err := Run(soa.Reader(), Baseline(), opts)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestSampledEventIndicesAreDispatchOrder pins the index space of a sampled
+// run: events and mispredict records index dispatch order (Result.Sampled),
+// so every index lies below the number of instructions dispatched, and the
+// I-cache misses that open many detailed phases sit among them rather than
+// at the trace positions of the instructions that missed.
+func TestSampledEventIndicesAreDispatchOrder(t *testing.T) {
+	soa := packedTrace(t, "gcc", 200_000)
+	res, err := Run(soa.Reader(), Baseline(), Options{
+		RecordEvents:      true,
+		RecordMispredicts: true,
+		SampleStartSkip:   ciTestStartSkip,
+		SampleDetailed:    ciTestDetailed,
+		SampleSkip:        ciTestSkip,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Sampled {
+		t.Fatal("run not marked sampled")
+	}
+	// Every dispatched instruction commits, so Insts is the dispatch count.
+	kinds := map[EventKind]int{}
+	for _, ev := range res.Events {
+		kinds[ev.Kind]++
+		if ev.Index >= res.Insts {
+			t.Errorf("%s event at index %d, but only %d instructions dispatched", ev.Kind, ev.Index, res.Insts)
 		}
-		fromGeneric, err := Run(tr.Reader(), Baseline(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fromSoA.Cycles != fromGeneric.Cycles || fromSoA.Insts != fromGeneric.Insts ||
-			fromSoA.Mispredicts != fromGeneric.Mispredicts ||
-			fromSoA.ICacheMisses != fromGeneric.ICacheMisses ||
-			fromSoA.LongDMisses != fromGeneric.LongDMisses {
-			t.Errorf("%s: soa (cycles %d insts %d misp %d i$ %d longD %d) != generic (cycles %d insts %d misp %d i$ %d longD %d)",
-				name,
-				fromSoA.Cycles, fromSoA.Insts, fromSoA.Mispredicts, fromSoA.ICacheMisses, fromSoA.LongDMisses,
-				fromGeneric.Cycles, fromGeneric.Insts, fromGeneric.Mispredicts, fromGeneric.ICacheMisses, fromGeneric.LongDMisses)
-		}
-		if fromSoA.Sample == nil || fromGeneric.Sample == nil {
-			t.Fatalf("%s: missing SampleStats (soa %v, generic %v)", name, fromSoA.Sample, fromGeneric.Sample)
-		}
-		if *fromSoA.Sample != *fromGeneric.Sample {
-			t.Errorf("%s: sampling stats diverge:\nsoa:     %+v\ngeneric: %+v", name, *fromSoA.Sample, *fromGeneric.Sample)
+	}
+	if kinds[EvICacheMiss] == 0 || kinds[EvBranchMispredict] == 0 {
+		t.Fatalf("too few events to check: %v", kinds)
+	}
+	for _, r := range res.Records {
+		if r.Index >= res.Insts || r.SinceLastMiss > r.Index {
+			t.Errorf("record %+v outside the %d dispatched instructions", r, res.Insts)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package uarch
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"intervalsim/internal/bpred"
@@ -18,13 +17,13 @@ import (
 // cfg and returns the measured result. The same reader can only be consumed
 // once; generators and decoders are cheap to recreate.
 //
-// When r is a *trace.SoAReader positioned at the start of its trace (from
-// trace.Pack + SoA.Reader), the simulator switches to an index-based hot
-// path over the struct-of-arrays trace: no per-instruction interface calls,
-// and — for unsampled runs — operand and memory dependences come from the
-// metadata precomputed at pack time instead of being rediscovered per run.
-// Results are identical on both paths (see TestRunPathsIdentical); only the
-// speed differs.
+// The simulator runs on a packed trace (trace.SoA), fetching by index with no
+// per-instruction interface calls. A *trace.SoAReader positioned at the start
+// of its trace (from trace.Pack + SoA.Reader) runs on that trace directly, so
+// one packed trace serves every run of a sweep; any other reader is packed
+// once on entry, never read past Options.MaxInsts. Unsampled runs take
+// operand and memory dependences from the metadata precomputed at pack time;
+// fast-forwarded runs track them live (see TestRunPathsIdentical).
 func Run(r trace.Reader, cfg Config, opts Options) (*Result, error) {
 	return RunContext(context.Background(), r, cfg, opts)
 }
@@ -38,11 +37,28 @@ func RunContext(ctx context.Context, r trace.Reader, cfg Config, opts Options) (
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := newSimulator(r, cfg, opts)
+	soa, err := soaOf(r, opts.MaxInsts)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newSimulator(soa, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	return s.run(ctx)
+}
+
+// soaOf returns the packed trace r streams: r's own when r is a packed
+// reader at the start of its trace, otherwise the rest of r packed now,
+// stopping after maxInsts instructions (0 = all).
+func soaOf(r trace.Reader, maxInsts uint64) (*trace.SoA, error) {
+	if sr, ok := r.(*trace.SoAReader); ok && sr.Pos() == 0 {
+		return sr.SoA(), nil
+	}
+	if maxInsts > 0 && maxInsts <= math.MaxInt {
+		r = trace.LimitReader(r, int(maxInsts))
+	}
+	return trace.PackReader(r)
 }
 
 const noDep = int64(-1)
@@ -104,13 +120,10 @@ type simulator struct {
 	pred *bpred.Unit
 	mem  *cache.Hierarchy
 
-	// Instruction source. soa is the index-based fast path (src position is
-	// fetchIdx); r is the generic streaming path. Exactly one is active.
-	soa      *trace.SoA
-	r        trace.Reader
-	peeked   isa.Inst
-	havePeek bool
-	srcEOF   bool
+	// The packed trace the run fetches from by index (fetchIdx); fetch stops
+	// at limit, the trace length capped by MaxInsts.
+	soa   *trace.SoA
+	limit uint64
 
 	// preDeps: dependence metadata comes from the packed trace (soa.Dep*),
 	// valid only when sequence numbers equal trace indices (no sampling).
@@ -121,12 +134,10 @@ type simulator struct {
 	// live pred/L1I lookups. rb and rcL1I mirror the counters the live
 	// structures would have accumulated — incremented at the identical
 	// pipeline points, so warmup snapshots subtract identically — and stand
-	// in for pred.Stats / mem.L1I.Stats in the Result. replayLimit is the
-	// trace length capped by MaxInsts.
-	ov          *overlay.Overlay
-	replayLimit uint64
-	rb          bpred.Stats
-	rcL1I       cache.Stats
+	// in for pred.Stats / mem.L1I.Stats in the Result.
+	ov    *overlay.Overlay
+	rb    bpred.Stats
+	rcL1I cache.Stats
 
 	cycle uint64
 
@@ -148,8 +159,8 @@ type simulator struct {
 	unissuedTail int32
 	unissuedNext []int32
 
-	// Live dependence tracking (generic path only; the SoA path reads the
-	// metadata precomputed at pack time).
+	// Live dependence tracking, used only when preDeps is false: sequence
+	// numbers of fast-forwarded runs are dispatch slots, not trace indices.
 	regProducer [isa.NumRegs]int64
 	storeProd   map[uint64]uint64 // word address → youngest pending store seq
 
@@ -231,7 +242,7 @@ type sampleUnit struct {
 	longDMisses uint64
 }
 
-func newSimulator(r trace.Reader, cfg Config, opts Options) (*simulator, error) {
+func newSimulator(soa *trace.SoA, cfg Config, opts Options) (*simulator, error) {
 	pred, err := cfg.Pred.Build()
 	if err != nil {
 		return nil, err
@@ -242,7 +253,8 @@ func newSimulator(r trace.Reader, cfg Config, opts Options) (*simulator, error) 
 		opts:          opts,
 		pred:          pred,
 		mem:           cache.NewHierarchy(cfg.Mem),
-		r:             r,
+		soa:           soa,
+		limit:         uint64(soa.Len()),
 		rob:           make([]robEntry, cfg.ROBSize),
 		robSize:       int32(cfg.ROBSize),
 		unissuedHead:  -1,
@@ -250,35 +262,28 @@ func newSimulator(r trace.Reader, cfg Config, opts Options) (*simulator, error) 
 		unissuedNext:  make([]int32, cfg.ROBSize),
 		fq:            make([]fqEntry, fqCap),
 		pendingResume: -1,
-		res:           &Result{Config: cfg},
+		res:           &Result{Config: cfg, Path: "soa"},
 	}
 	s.lineMask = ^uint64(s.mem.LineSizeI() - 1)
-	if sr, ok := r.(*trace.SoAReader); ok {
-		if sr.Pos() == 0 {
-			// Index-based fast path over the packed trace. Precomputed
-			// dependences require sequence numbers to equal trace indices,
-			// which sampling breaks (skipped instructions never get a seq).
-			s.soa = sr.SoA()
-			s.r = nil
-			s.preDeps = !opts.fastForwarded()
-			if !s.preDeps {
-				s.noteFallback("sampled run: precomputed dependences bypassed (live tracking)")
-			}
-		} else {
-			s.noteFallback("packed reader not at trace start: generic path")
-		}
+	if opts.MaxInsts > 0 && opts.MaxInsts < s.limit {
+		s.limit = opts.MaxInsts
+	}
+	// Precomputed dependences require sequence numbers to equal trace
+	// indices, which fast-forwarding breaks (skipped instructions never get
+	// a seq).
+	s.preDeps = !opts.fastForwarded()
+	if !s.preDeps {
+		s.noteFallback("sampled run: precomputed dependences bypassed (live tracking)")
 	}
 	if ov := opts.Overlay; ov != nil {
 		// Replay only when the overlay provably applies; otherwise fall back
 		// to live simulation and say why.
 		switch {
-		case s.soa == nil:
-			s.noteFallback("overlay ignored: reader is not a packed trace at position 0")
 		case !s.preDeps:
 			s.noteFallback("overlay ignored: sampled/fast-forwarded run")
 		case opts.WrongPathFetch:
 			s.noteFallback("overlay ignored: wrong-path fetch needs live L1I state")
-		case ov.Trace != s.soa:
+		case ov.Trace != soa:
 			s.noteFallback("overlay ignored: computed for a different trace")
 		case ov.PredFP != cfg.Pred.Fingerprint() || ov.MemFP != cfg.Mem.Fingerprint():
 			s.noteFallback("overlay ignored: predictor/cache-geometry fingerprint mismatch")
@@ -286,19 +291,8 @@ func newSimulator(r trace.Reader, cfg Config, opts Options) (*simulator, error) 
 			s.noteFallback("overlay ignored: value-predictor fingerprint mismatch")
 		default:
 			s.ov = ov
-			s.replayLimit = uint64(s.soa.Len())
-			if opts.MaxInsts > 0 && opts.MaxInsts < s.replayLimit {
-				s.replayLimit = opts.MaxInsts
-			}
+			s.res.Path = "soa+overlay"
 		}
-	}
-	switch {
-	case s.ov != nil:
-		s.res.Path = "soa+overlay"
-	case s.soa != nil:
-		s.res.Path = "soa"
-	default:
-		s.res.Path = "generic"
 	}
 	if cfg.VPred != nil && s.ov == nil {
 		// Live value prediction; in replay mode the outcomes come from the
@@ -317,12 +311,6 @@ func newSimulator(r trace.Reader, cfg Config, opts Options) (*simulator, error) 
 		}
 		s.throttledWidth = w
 	}
-	if !s.preDeps {
-		for i := range s.regProducer {
-			s.regProducer[i] = noDep
-		}
-		s.storeProd = make(map[uint64]uint64)
-	}
 	pools := cfg.FU.pools()
 	for p := range s.fus {
 		s.fus[p] = make([]uint64, pools[p].Count)
@@ -335,9 +323,9 @@ func newSimulator(r trace.Reader, cfg Config, opts Options) (*simulator, error) 
 	if opts.TimelineCycles > 0 {
 		s.res.Timeline = make([]uint8, 0, opts.TimelineCycles)
 	}
-	if opts.RecordLoadLevels && s.soa != nil {
-		// Capacity only: length still grows exactly as on the generic path.
-		s.res.LoadLevels = make([]uint8, 0, s.soa.Len())
+	if opts.RecordLoadLevels {
+		// Capacity only: issue grows the length to the highest load index.
+		s.res.LoadLevels = make([]uint8, 0, s.limit)
 	}
 	if opts.sampling() {
 		s.detailedPhase = true
@@ -349,61 +337,12 @@ func newSimulator(r trace.Reader, cfg Config, opts Options) (*simulator, error) 
 	return s, nil
 }
 
-// peek returns the next trace instruction without consuming it, or false at
-// end of trace (or the MaxInsts limit). The peeked instruction is cached by
-// value in the simulator, so nothing escapes to the heap.
-func (s *simulator) peek() (*isa.Inst, bool, error) {
-	if s.opts.MaxInsts > 0 && s.fetchIdx >= s.opts.MaxInsts {
-		return nil, false, nil
-	}
-	if s.havePeek {
-		return &s.peeked, true, nil
-	}
-	if s.soa != nil {
-		if s.fetchIdx >= uint64(s.soa.Len()) {
-			return nil, false, nil
-		}
-		s.soa.InstAt(int(s.fetchIdx), &s.peeked)
-		s.havePeek = true
-		return &s.peeked, true, nil
-	}
-	if s.srcEOF {
-		return nil, false, nil
-	}
-	in, err := s.r.Next()
-	if err == io.EOF {
-		s.srcEOF = true
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	s.peeked = in
-	s.havePeek = true
-	return &s.peeked, true, nil
-}
-
-func (s *simulator) consume() {
-	s.havePeek = false
-	s.fetchIdx++
-}
-
 // noteFallback appends one bypassed-fast-path reason to the Result.
 func (s *simulator) noteFallback(reason string) {
 	if s.res.Fallback != "" {
 		s.res.Fallback += "; "
 	}
 	s.res.Fallback += reason
-}
-
-// moreInsts reports whether the trace has instructions left to fetch. The
-// replay path answers from the index bound alone; the other paths peek.
-func (s *simulator) moreInsts() (bool, error) {
-	if s.ov != nil {
-		return s.fetchIdx < s.replayLimit, nil
-	}
-	_, more, err := s.peek()
-	return more, err
 }
 
 // bpredStats returns the prediction counters of the run: the replayed ones
@@ -440,6 +379,13 @@ func (s *simulator) run(ctx context.Context) (*Result, error) {
 	if s.noProgress == 0 {
 		s.noProgress = 1_000_000
 	}
+	if !s.preDeps {
+		// Live dependence tracking starts with no producer in flight.
+		for i := range s.regProducer {
+			s.regProducer[i] = noDep
+		}
+		s.storeProd = make(map[uint64]uint64)
+	}
 	for {
 		done, err := s.step(ctx)
 		if err != nil {
@@ -457,11 +403,7 @@ func (s *simulator) run(ctx context.Context) (*Result, error) {
 // that cycle was dead, on over the dead cycles behind it (skipDead). It
 // reports whether the run is complete.
 func (s *simulator) step(ctx context.Context) (bool, error) {
-	more, err := s.moreInsts()
-	if err != nil {
-		return false, err
-	}
-	if !more && s.fqLen == 0 && s.head == s.tail {
+	if s.fetchIdx >= s.limit && s.fqLen == 0 && s.head == s.tail {
 		return true, nil
 	}
 	s.cycle++
@@ -1012,46 +954,40 @@ func (s *simulator) fetch() error {
 	if n := s.opts.SampleStartSkip; n > 0 && !s.startSkipped {
 		// Initial fast-forward past the cold-start region.
 		s.startSkipped = true
-		if err := s.skipFunctional(n); err != nil {
-			return err
-		}
+		s.skipFunctional(n)
 	}
 	if s.opts.sampling() && !s.detailedPhase {
 		// Fast-forward: warm the caches and predictor functionally, no
 		// timing. The backend keeps draining the last detailed phase.
-		if err := s.skipFunctional(s.opts.SampleSkip); err != nil {
-			return err
-		}
+		s.skipFunctional(s.opts.SampleSkip)
 		s.detailedPhase = true
 		s.phaseLeft = s.opts.SampleDetailed
 	}
 	fqCap := int32(len(s.fq))
 	n := 0
-	for n < s.fetchWidth() && s.fqLen < fqCap {
-		in, ok, err := s.peek()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		line := in.PC & s.lineMask
+	var inst isa.Inst
+	for n < s.fetchWidth() && s.fqLen < fqCap && s.fetchIdx < s.limit {
+		idx := s.fetchIdx
+		s.soa.InstAt(int(idx), &inst)
+		line := inst.PC & s.lineMask
 		if !s.haveFetchLine || line != s.curFetchLine {
-			lvl, lat := s.mem.Fetch(in.PC)
+			lvl, lat := s.mem.Fetch(inst.PC)
 			s.curFetchLine = line
 			s.haveFetchLine = true
 			if lvl != cache.L1Hit {
 				// The line is being filled; fetch resumes when it arrives.
+				// Events index dispatch order, so the miss takes the slot
+				// this instruction will dispatch into: its trace index
+				// unless the run fast-forwards.
+				seq := s.tail + uint64(s.fqLen)
 				s.c.icacheMisses++
-				s.event(EvICacheMiss, s.fetchIdx, lvl)
-				s.lastMissIdx = s.fetchIdx
+				s.event(EvICacheMiss, seq, lvl)
+				s.lastMissIdx = seq
 				s.fetchResumeAt = s.cycle + uint64(lat)
 				return nil
 			}
 		}
-		inst := *in
-		idx := s.fetchIdx
-		s.consume()
+		s.fetchIdx++
 		if s.opts.sampling() {
 			s.phaseLeft--
 			if s.phaseLeft == 0 {
@@ -1136,8 +1072,8 @@ func (s *simulator) fetchWidth() int {
 // by the precomputed overlay. A replayed L1I miss still drives the live L2
 // with the instruction's PC — the identical fill stream a live L1I miss
 // would send — so the L2 state shared with the data side evolves exactly as
-// in a live run. Sampling, wrong-path fetch, and the generic reader never
-// reach here (newSimulator falls back to live simulation for all three).
+// in a live run. Sampling and wrong-path fetch never reach here
+// (newSimulator falls back to live simulation for both).
 func (s *simulator) fetchReplay() error {
 	if s.awaitResolve || s.cycle < s.fetchResumeAt {
 		return nil
@@ -1147,7 +1083,7 @@ func (s *simulator) fetchReplay() error {
 	n := 0
 	for n < s.fetchWidth() && s.fqLen < fqCap {
 		idx := s.fetchIdx
-		if idx >= s.replayLimit {
+		if idx >= s.limit {
 			return nil
 		}
 		pc := soa.PC[idx]
@@ -1278,57 +1214,14 @@ func (s *simulator) fetchWrongPath() {
 // skipFunctional consumes the skip phase's instructions through the caches
 // and the branch predictor only. It runs "instantly": no cycles elapse and
 // nothing is dispatched, so the skipped instructions never appear in
-// committed counts, events, or records.
-func (s *simulator) skipFunctional(n uint64) error {
-	if s.soa != nil {
-		return s.skipFunctionalSoA(n)
-	}
-	left := n
-	for left > 0 {
-		in, ok, err := s.peek()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if line := in.PC & s.lineMask; !s.haveFetchLine || line != s.curFetchLine {
-			s.curFetchLine = line
-			s.haveFetchLine = true
-			s.mem.Fetch(in.PC)
-		}
-		switch {
-		case in.Class.IsMem():
-			s.mem.Data(in.Addr)
-		case in.Class.IsControl():
-			mis := s.pred.Access(in)
-			if s.conf != nil && in.Class == isa.Branch {
-				s.conf.access(in.PC, mis)
-			}
-		}
-		if s.vrun != nil && overlay.VPredEligible(in.Class, in.Dst) {
-			s.vrun.Access(in.PC)
-		}
-		s.consume()
-		left--
-	}
-	return nil
-}
-
-// skipFunctionalSoA is skipFunctional over the packed trace: the identical
-// predictor and cache access sequence, reading only the columns each
-// instruction class needs instead of assembling a full isa.Inst per record.
-// Fast-forwarding is bounded by memory traffic, so the narrower reads are
-// what make sampled sweeps several times cheaper than detailed ones.
-func (s *simulator) skipFunctionalSoA(n uint64) error {
-	limit := uint64(s.soa.Len())
-	if s.opts.MaxInsts > 0 && s.opts.MaxInsts < limit {
-		limit = s.opts.MaxInsts
-	}
-	s.havePeek = false
+// committed counts, events, or records. It reads only the columns each
+// instruction class needs: fast-forwarding is bounded by memory traffic, so
+// the narrow reads are what make sampled sweeps several times cheaper than
+// detailed ones.
+func (s *simulator) skipFunctional(n uint64) {
 	i := s.fetchIdx
 	var in isa.Inst
-	for ; n > 0 && i < limit; n-- {
+	for ; n > 0 && i < s.limit; n-- {
 		pc := s.soa.PC[i]
 		if line := pc & s.lineMask; !s.haveFetchLine || line != s.curFetchLine {
 			s.curFetchLine = line
@@ -1352,7 +1245,6 @@ func (s *simulator) skipFunctionalSoA(n uint64) error {
 		i++
 	}
 	s.fetchIdx = i
-	return nil
 }
 
 // markUnitBoundary closes one sampling measurement unit: the statistics

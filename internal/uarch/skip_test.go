@@ -107,7 +107,7 @@ func TestDeadCycleSkipMatchesReference(t *testing.T) {
 // skipped. Memory-bound mcf stalls behind long misses for most of its
 // cycles, so most of them must be skipped.
 func TestDeadCycleSkipEngages(t *testing.T) {
-	s, err := newSimulator(packedTrace(t, "mcf", 50_000).Reader(), Baseline(), Options{})
+	s, err := newSimulator(packedTrace(t, "mcf", 50_000), Baseline(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestCancelSeenDuringLongStall(t *testing.T) {
 			onLoop(skip, func() {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				s, err := newSimulator(testTraceReader(t, "mcf", 200_000), cfg, Options{})
+				s, err := newSimulator(packedTrace(t, "mcf", 200_000), cfg, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
