@@ -44,8 +44,9 @@ func main() {
 
 	// Step 2 — ILP characteristics: critical-path statistics of the program
 	// under unit and machine latencies, plus the branch-resolution curve.
-	model, err := core.BuildModel(func() trace.Reader { return tr.Reader() },
-		cfg, prof.ShortMissRatio(), insts)
+	// Pack once: the ILP kernels and the simulator both read the packed trace.
+	soa := trace.Pack(tr)
+	model, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), insts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func main() {
 	}
 
 	// Step 4 — the expensive ground truth: cycle-level simulation.
-	res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{WarmupInsts: warmup})
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{WarmupInsts: warmup})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Pack once: every depth simulates the same packed trace.
+	// Pack once: every depth simulates and profiles the same packed trace.
 	soa := trace.Pack(tr)
 
 	t := report.New("misprediction penalty vs frontend pipeline depth (crafty)",
@@ -52,8 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		model, err := core.BuildModel(func() trace.Reader { return tr.Reader() },
-			cfg, prof.ShortMissRatio(), tr.Len())
+		model, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), tr.Len())
 		if err != nil {
 			log.Fatal(err)
 		}

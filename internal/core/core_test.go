@@ -178,8 +178,11 @@ func TestModelPenaltyMonotoneAndAboveFrontend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(func() trace.Reader { return workload.MustNew(wc, testLen) },
-		cfg, prof.ShortMissRatio(), testLen)
+	soa, err := trace.PackReader(workload.MustNew(wc, testLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := BuildModel(soa, cfg, prof.ShortMissRatio(), testLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestModelCPIValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), 0)
+	m, err := BuildModel(trace.Pack(tr), cfg, prof.ShortMissRatio(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,29 +56,30 @@ type ModelOptions struct {
 	NaiveResolution bool
 }
 
-// BuildModel profiles the program twice (unit and machine latencies) over at
-// most maxInsts instructions. mk must return a fresh reader over the same
-// trace on each call; shortRatio is the program's short-miss ratio from a
-// functional profile.
-func BuildModel(mk func() trace.Reader, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, error) {
+// BuildModel profiles the packed trace soa over at most maxInsts
+// instructions: the unit- and machine-latency characteristics in one fused
+// pass, then the branch-resolution characteristic at cfg's dispatch width.
+// shortRatio is the program's short-miss ratio from a functional profile.
+func BuildModel(soa *trace.SoA, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	windows := windowLadder(cfg.ROBSize)
-	kunit, err := ilp.Profile(mk(), windows, ilp.UnitLatency, maxInsts)
+	lat := MachineLatency(cfg, shortRatio)
+	ks, err := ilp.Profile(soa, windows, []ilp.Latencies{ilp.UnitLatencies(), lat}, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	klat, err := ilp.Profile(mk(), windows, MachineLatency(cfg, shortRatio), maxInsts)
+	kres, err := ilp.ProfileResolution(soa, windows, lat, cfg.DispatchWidth, maxInsts, resolutionSample)
 	if err != nil {
 		return nil, err
 	}
-	kres, err := ilp.ProfileResolution(mk(), windows, MachineLatency(cfg, shortRatio), cfg.DispatchWidth, maxInsts, 4)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{Cfg: cfg, KUnit: kunit, KLat: klat, KRes: kres}, nil
+	return &Model{Cfg: cfg, KUnit: ks[0], KLat: ks[1], KRes: kres}, nil
 }
+
+// resolutionSample profiles the resolution characteristic at every fourth
+// branch.
+const resolutionSample = 4
 
 // windowLadder returns power-of-two window sizes up to and including the
 // ROB size.
@@ -90,18 +91,17 @@ func windowLadder(rob int) []int {
 	return append(out, rob)
 }
 
-// MachineLatency is the expected-value latency function of the machine:
-// class latencies from the FU pools, loads at L1 latency plus the expected
+// MachineLatency is the expected-value latency table of the machine: class
+// latencies from the FU pools, loads at L1 latency plus the expected
 // short-miss uplift shortRatio·(L2−L1).
-func MachineLatency(cfg uarch.Config, shortRatio float64) ilp.LatencyFunc {
-	lat := cfg.Mem.Lat
-	loadLat := float64(lat.L1) + shortRatio*float64(lat.L2-lat.L1)
-	return func(_ int, in *isa.Inst) float64 {
-		if in.Class == isa.Load {
-			return loadLat
-		}
-		return float64(cfg.FU.OpLatency(in.Class))
+func MachineLatency(cfg uarch.Config, shortRatio float64) ilp.Latencies {
+	var t ilp.Latencies
+	for c := range t {
+		t[c] = float64(cfg.FU.OpLatency(isa.Class(c)))
 	}
+	lat := cfg.Mem.Lat
+	t[isa.Load] = float64(lat.L1) + shortRatio*float64(lat.L2-lat.L1)
+	return t
 }
 
 // dispatchToIssue is the modeled gap between an instruction entering the

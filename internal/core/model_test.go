@@ -30,7 +30,7 @@ func buildFor(t *testing.T, wc workload.Config) (*Model, *Profile, *uarch.Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), 0)
+	m, err := BuildModel(trace.Pack(tr), cfg, prof.ShortMissRatio(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFullModelAccuracyWithMatchedWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), 0)
+	m, err := BuildModel(trace.Pack(tr), cfg, prof.ShortMissRatio(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,22 +143,20 @@ func TestFullModelAccuracyWithMatchedWarmup(t *testing.T) {
 func TestMachineLatencyExpectedValue(t *testing.T) {
 	cfg := uarch.Baseline()
 	lat := MachineLatency(cfg, 0.5)
-	ld := &isaLoad
-	got := lat(0, ld)
+	got := lat[isa.Load]
 	want := float64(cfg.Mem.Lat.L1) + 0.5*float64(cfg.Mem.Lat.L2-cfg.Mem.Lat.L1)
 	if got != want {
 		t.Errorf("load latency = %v, want %v", got, want)
 	}
-	mul := &isaMul
-	if lat(0, mul) != float64(cfg.FU.IntMul.Latency) {
-		t.Errorf("mul latency = %v", lat(0, mul))
+	if lat[isa.IntMul] != float64(cfg.FU.IntMul.Latency) {
+		t.Errorf("mul latency = %v", lat[isa.IntMul])
 	}
 }
 
 func TestBuildModelRejectsBadConfig(t *testing.T) {
 	cfg := uarch.Baseline()
 	cfg.ROBSize = 0
-	_, err := BuildModel(func() trace.Reader { return (&trace.Trace{}).Reader() }, cfg, 0, 0)
+	_, err := BuildModel(trace.Pack(&trace.Trace{}), cfg, 0, 0)
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
@@ -213,18 +211,4 @@ func TestFunctionalProfileWarmup(t *testing.T) {
 	if warmRate > fullRate*1.5 {
 		t.Errorf("post-warmup long-miss rate %.4f suspiciously above overall %.4f", warmRate, fullRate)
 	}
-}
-
-// package-level instruction values used by latency tests
-var (
-	isaLoad = loadInst()
-	isaMul  = mulInst()
-)
-
-func loadInst() isa.Inst {
-	return isa.Inst{Class: isa.Load, Src1: 1, Src2: isa.NoReg, Dst: 8, Addr: 0x1000}
-}
-
-func mulInst() isa.Inst {
-	return isa.Inst{Class: isa.IntMul, Src1: 1, Src2: 2, Dst: 8}
 }

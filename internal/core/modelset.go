@@ -14,11 +14,12 @@ import (
 // across a family of configurations that share a trace, a speculation
 // configuration (predictor + cache geometry), and all latencies — a timing
 // sweep over dispatch width, frontend depth, and ROB size. BuildModel runs
-// three ILP profiling passes per configuration; a ModelSet runs the
-// unit-latency and machine-latency passes once, the branch-resolution pass
-// once per distinct dispatch width, and the functional miss-event profile
-// once per distinct ROB size, all straight off a precomputed overlay with no
-// predictor or cache simulation at all.
+// the ILP profiling kernels for one configuration; a ModelSet runs the fused
+// unit- and machine-latency pass once, the branch-resolution pass once per
+// distinct dispatch width, and the functional miss-event profile once per
+// distinct ROB size, all straight off a precomputed overlay with no
+// predictor or cache simulation at all. A set is safe for concurrent use, so
+// one set can serve every worker that asks for a member of its family.
 //
 // The sharing is sound because every characteristic is profiled over the
 // window ladder of maxROB and only ever evaluated at or below a requested
@@ -73,16 +74,6 @@ func NewModelSet(soa *trace.SoA, ov *overlay.Overlay, base uarch.Config, maxROB 
 	}, nil
 }
 
-// fuLatencies extracts the per-pool execution latencies — the only part of
-// the FU configuration the analytic model reads (counts gate issue bandwidth
-// in the detailed simulator, not the model's latency function).
-func fuLatencies(f uarch.FUs) [7]int {
-	return [7]int{
-		f.IntALU.Latency, f.IntMul.Latency, f.IntDiv.Latency,
-		f.FPAdd.Latency, f.FPMul.Latency, f.FPDiv.Latency, f.MemPort.Latency,
-	}
-}
-
 // For composes the analytic model and the functional profile for one member
 // of the family, reusing every shared characteristic. It rejects — rather
 // than silently mis-shares — a configuration whose speculation state,
@@ -96,7 +87,7 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 		vpredConfigFP(cfg.VPred) != s.ov.VPredFP {
 		return nil, nil, fmt.Errorf("%w: configuration's speculation state differs from the overlay's", ErrBadInput)
 	}
-	if cfg.Mem.Lat != s.base.Mem.Lat || fuLatencies(cfg.FU) != fuLatencies(s.base.FU) {
+	if cfg.Mem.Lat != s.base.Mem.Lat || cfg.FU.Latencies() != s.base.FU.Latencies() {
 		return nil, nil, fmt.Errorf("%w: configuration's latencies differ from the model set's", ErrBadInput)
 	}
 	if !ladderNode(cfg.ROBSize, s.maxROB) {
@@ -115,25 +106,20 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 		s.prof[cfg.ROBSize] = prof
 	}
 	windows := windowLadder(s.maxROB)
-	mk := func() trace.Reader { return s.soa.Reader() }
 	if !s.shared {
 		// The short-miss ratio counts L1-hit vs L2-hit loads: a property of
 		// the overlay, identical for every ROB size in the family.
 		s.shortRatio = prof.ShortMissRatio()
-		kunit, err := ilp.Profile(mk(), windows, ilp.UnitLatency, s.maxInsts)
+		ks, err := ilp.Profile(s.soa, windows, []ilp.Latencies{ilp.UnitLatencies(), MachineLatency(s.base, s.shortRatio)}, s.maxInsts)
 		if err != nil {
 			return nil, nil, err
 		}
-		klat, err := ilp.Profile(mk(), windows, MachineLatency(s.base, s.shortRatio), s.maxInsts)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.kunit, s.klat, s.shared = kunit, klat, true
+		s.kunit, s.klat, s.shared = ks[0], ks[1], true
 	}
 	kres, ok := s.kres[cfg.DispatchWidth]
 	if !ok {
 		var err error
-		kres, err = ilp.ProfileResolution(mk(), windows, MachineLatency(s.base, s.shortRatio), cfg.DispatchWidth, s.maxInsts, 4)
+		kres, err = ilp.ProfileResolution(s.soa, windows, MachineLatency(s.base, s.shortRatio), cfg.DispatchWidth, s.maxInsts, resolutionSample)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"intervalsim/internal/overlay"
@@ -58,8 +59,7 @@ func TestModelSetMatchesBuildModel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("For(w%d d%d r%d): %v", width, depth, rob, err)
 				}
-				direct, err := BuildModel(func() trace.Reader { return soa.Reader() },
-					cfg, prof.ShortMissRatio(), insts)
+				direct, err := BuildModel(soa, cfg, prof.ShortMissRatio(), insts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,4 +146,74 @@ func TestModelSetRejectsOutsideFamily(t *testing.T) {
 	if _, err := NewModelSet(soa, ovMismatch, base, 256, 0, insts); err == nil {
 		t.Error("NewModelSet accepted an overlay for a different predictor")
 	}
+}
+
+// TestModelSetConcurrentFor: one set shared by many workers — as the
+// service's model-set memo shares it — answers every member exactly as
+// serial calls on a fresh set do, with its lazily built characteristics and
+// profiles raced for from the first call on.
+func TestModelSetConcurrentFor(t *testing.T) {
+	const insts = 30_000
+	wc, _ := workload.SuiteConfig("twolf")
+	soa, err := trace.PackReader(workload.MustNew(wc, insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uarch.Baseline()
+	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []uarch.Config
+	for _, width := range []int{2, 4, 8} {
+		for _, rob := range []int{32, 128, 256} {
+			points = append(points, modelSetPoint(width, 5, rob))
+		}
+	}
+	predict := func(set *ModelSet, cfg uarch.Config) (CPIBreakdown, error) {
+		m, prof, err := set.For(cfg)
+		if err != nil {
+			return CPIBreakdown{}, err
+		}
+		return m.PredictCPI(prof)
+	}
+
+	serial, err := NewModelSet(soa, ov, base, 256, 2_000, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]CPIBreakdown, len(points))
+	for i, cfg := range points {
+		if want[i], err = predict(serial, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	shared, err := NewModelSet(soa, ov, base, 256, 2_000, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 8, 3
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range points {
+					i := (g*5 + k + r) % len(points) // each worker starts elsewhere
+					got, err := predict(shared, points[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got != want[i] {
+						t.Errorf("worker %d: %s w%d r%d: concurrent %+v, serial %+v",
+							g, points[i].Name, points[i].DispatchWidth, points[i].ROBSize, got, want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

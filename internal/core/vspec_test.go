@@ -106,7 +106,7 @@ func TestPredictCPIChargesValueMisspecs(t *testing.T) {
 	if prof.ValueMisspecs == 0 {
 		t.Skip("no misspeculations in this trace; nothing to charge")
 	}
-	m, err := BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), 40_000)
+	m, err := BuildModel(trace.Pack(tr), cfg, prof.ShortMissRatio(), 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}

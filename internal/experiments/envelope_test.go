@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"intervalsim/internal/core"
-	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
@@ -73,7 +72,7 @@ func modelError(t *testing.T, wc workload.Config, cfg uarch.Config, p Params) fl
 	if err != nil {
 		t.Fatalf("%s %s: profile: %v", wc.Name, cfg.Name, err)
 	}
-	m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+	m, err := modelFor(wc, cfg, prof, p)
 	if err != nil {
 		t.Fatalf("%s %s: build model: %v", wc.Name, cfg.Name, err)
 	}

@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"intervalsim/internal/core"
-	"intervalsim/internal/ilp"
 	"intervalsim/internal/report"
 	"intervalsim/internal/stats"
 	"intervalsim/internal/trace"
@@ -116,11 +115,11 @@ func T2(w io.Writer, p Params) error {
 	t := report.New("T2: benchmark characterization (baseline machine)",
 		"benchmark", "IPC", "br-MPKI", "I$-MPKI", "shortD/KI", "longD/KI", "ILP beta", "K(ROB)")
 	for _, wc := range workload.Suite() {
-		tr, res, err := run(wc, cfg, p)
+		_, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
-		char, err := ilp.Profile(tr.Reader(), ilp.DefaultWindows(), ilp.UnitLatency, p.Insts)
+		char, err := unitCharacteristic(wc, p)
 		if err != nil {
 			return err
 		}
@@ -301,7 +300,7 @@ func E4(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+		m, err := modelFor(wc, cfg, prof, p)
 		if err != nil {
 			return err
 		}

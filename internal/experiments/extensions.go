@@ -23,7 +23,7 @@ func E11(w io.Writer, p Params) error {
 	t := report.New("E11 (extension): cycle stacks — model prediction vs simulator stall accounting (fraction of cycles)",
 		"benchmark", "mdl base", "mdl bpred", "mdl I$", "mdl longD", "sim dispatch", "sim bpred", "sim I$", "sim ROB/IQ", "sim other")
 	for _, wc := range workload.Suite() {
-		tr, res, err := run(wc, cfg, p)
+		_, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
@@ -31,7 +31,7 @@ func E11(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+		m, err := modelFor(wc, cfg, prof, p)
 		if err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func A1(w io.Writer, p Params) error {
 		if !ok {
 			return fmt.Errorf("experiments: unknown benchmark %s", name)
 		}
-		tr, res, err := run(wc, cfg, p)
+		_, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func A1(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+		m, err := modelFor(wc, cfg, prof, p)
 		if err != nil {
 			return err
 		}

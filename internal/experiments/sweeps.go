@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"intervalsim/internal/core"
-	"intervalsim/internal/ilp"
 	"intervalsim/internal/report"
-	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
@@ -26,7 +24,7 @@ func E6(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		char, err := ilp.Profile(tr.Reader(), ilp.DefaultWindows(), ilp.UnitLatency, p.Insts)
+		char, err := unitCharacteristic(wc, p)
 		if err != nil {
 			return err
 		}
@@ -121,7 +119,7 @@ func E9(w io.Writer, p Params) error {
 	t := report.New("E9: analytic interval model vs cycle-level simulation",
 		"benchmark", "sim CPI", "model CPI", "CPI err%", "sim penalty", "model penalty")
 	for _, wc := range workload.Suite() {
-		tr, res, err := run(wc, cfg, p)
+		_, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
@@ -129,7 +127,7 @@ func E9(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+		m, err := modelFor(wc, cfg, prof, p)
 		if err != nil {
 			return err
 		}

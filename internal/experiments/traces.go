@@ -3,6 +3,7 @@ package experiments
 import (
 	"intervalsim/internal/core"
 	"intervalsim/internal/harness"
+	"intervalsim/internal/ilp"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
@@ -10,8 +11,8 @@ import (
 )
 
 // suiteTrace is one generated workload trace in both layouts: the record
-// slice the decomposer and ILP profiler consume, and the packed
-// struct-of-arrays the simulator's fast path and the overlay cache key on.
+// slice the decomposer consumes, and the packed struct-of-arrays the
+// simulator, the ILP profiling kernels and the overlay cache key on.
 // Both are immutable once built (Predicate copies before mutating), so one
 // instance is safely shared across experiments and harness workers.
 type suiteTrace struct {
@@ -103,6 +104,30 @@ func suiteTraceFor(wc workload.Config, insts int) (*suiteTrace, error) {
 // optional value predictor).
 func overlayFor(st *suiteTrace, cfg uarch.Config) (*overlay.Overlay, error) {
 	return overlay.Shared.GetSpec(st.soa, cfg.Pred, cfg.Mem, cfg.VPred)
+}
+
+// modelFor builds the analytic model of (wc, insts) under cfg from the
+// shared packed trace and prof's short-miss ratio.
+func modelFor(wc workload.Config, cfg uarch.Config, prof *core.Profile, p Params) (*core.Model, error) {
+	st, err := suiteTraceFor(wc, p.Insts)
+	if err != nil {
+		return nil, err
+	}
+	return core.BuildModel(st.soa, cfg, prof.ShortMissRatio(), p.Insts)
+}
+
+// unitCharacteristic measures the unit-latency ILP characteristic of
+// (wc, insts) over the default window ladder.
+func unitCharacteristic(wc workload.Config, p Params) (ilp.Characteristic, error) {
+	st, err := suiteTraceFor(wc, p.Insts)
+	if err != nil {
+		return ilp.Characteristic{}, err
+	}
+	ks, err := ilp.Profile(st.soa, ilp.DefaultWindows(), []ilp.Latencies{ilp.UnitLatencies()}, p.Insts)
+	if err != nil {
+		return ilp.Characteristic{}, err
+	}
+	return ks[0], nil
 }
 
 // profileFor builds the functional miss-event profile of (wc, insts) under

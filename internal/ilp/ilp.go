@@ -13,7 +13,6 @@ package ilp
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"intervalsim/internal/isa"
@@ -144,52 +143,47 @@ func (c Characteristic) EvalInterp(w int) float64 {
 	return c.K[len(c.K)-1]
 }
 
-// Profile measures the ILP characteristic of the stream from r under lat.
-// It computes critical paths over non-overlapping windows of each size in
-// windows (which must be positive and ascending) across at most maxInsts
-// instructions (0 = the whole stream).
-func Profile(r trace.Reader, windows []int, lat LatencyFunc, maxInsts int) (Characteristic, error) {
+// Latencies is a per-class execution-latency table: entry c is the latency
+// in cycles of an instruction of class c. Fractional values are allowed so
+// expected-value latencies (e.g. an average short-miss uplift on loads) can
+// be modeled. The profiling passes take tables rather than a LatencyFunc
+// because the latencies they model depend on the class alone.
+type Latencies [isa.NumClasses]float64
+
+// UnitLatencies is the table of UnitLatency: every class takes one cycle.
+func UnitLatencies() Latencies {
+	var t Latencies
+	for c := range t {
+		t[c] = 1
+	}
+	return t
+}
+
+// checkWindows validates a window-size ladder: non-empty, positive and
+// strictly ascending.
+func checkWindows(windows []int) error {
 	if len(windows) == 0 {
-		return Characteristic{}, fmt.Errorf("ilp: no window sizes given")
+		return fmt.Errorf("ilp: no window sizes given")
 	}
 	for i, w := range windows {
 		if w <= 0 || (i > 0 && w <= windows[i-1]) {
-			return Characteristic{}, fmt.Errorf("ilp: window sizes must be positive and ascending")
+			return fmt.Errorf("ilp: window sizes must be positive and ascending")
 		}
 	}
-	largest := windows[len(windows)-1]
-	buf := make([]isa.Inst, 0, largest)
-	sums := make([]float64, len(windows))
-	counts := make([]int, len(windows))
-	total := 0
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
-		for i, w := range windows {
-			// Chop the buffer into non-overlapping windows of size w.
-			for off := 0; off+w <= len(buf); off += w {
-				sums[i] += CriticalPath(buf[off:off+w], lat)
-				counts[i]++
-			}
-		}
-		buf = buf[:0]
+	return nil
+}
+
+// profiled returns how many leading records of s a pass reads: at most
+// maxInsts (0 = all of them).
+func profiled(s *trace.SoA, maxInsts int) int {
+	if n := s.Len(); maxInsts <= 0 || maxInsts > n {
+		return n
 	}
-	for maxInsts <= 0 || total < maxInsts {
-		in, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Characteristic{}, err
-		}
-		buf = append(buf, in)
-		total++
-		if len(buf) == largest {
-			flush()
-		}
-	}
-	flush()
+	return maxInsts
+}
+
+// characteristic turns per-window sums and counts into a fitted profile.
+func characteristic(windows []int, sums []float64, counts []int) Characteristic {
 	c := Characteristic{Windows: append([]int(nil), windows...), K: make([]float64, len(windows))}
 	for i := range windows {
 		if counts[i] > 0 {
@@ -197,7 +191,108 @@ func Profile(r trace.Reader, windows []int, lat LatencyFunc, maxInsts int) (Char
 		}
 	}
 	c.fit()
-	return c, nil
+	return c
+}
+
+// Profile measures the ILP characteristic of the packed trace s under each
+// latency table of lats, in one pass over the first maxInsts records (0 =
+// the whole trace); result i belongs to lats[i]. It computes critical paths
+// over non-overlapping windows of each size in windows (which must be
+// positive and ascending). The trace is cut into chunks of the largest
+// window, and each chunk into windows of each size from its start, so
+// windows of a size that does not divide the largest stop short of the
+// chunk end.
+//
+// Inside a window starting at record lo, a producer counts iff its
+// Dep1/Dep2/DepMem index is at least lo: the packed trace's producer of a
+// source is the latest earlier writer of that register (or, for a load, the
+// latest earlier store to its word), so an index below lo means the window
+// holds no producer at all. Depths therefore depend on where a window
+// starts, not where it ends, and windows of several sizes that start at the
+// same record share one depth computation: each smaller window's critical
+// path is the running maximum at its last record.
+func Profile(s *trace.SoA, windows []int, lats []Latencies, maxInsts int) ([]Characteristic, error) {
+	if err := checkWindows(windows); err != nil {
+		return nil, err
+	}
+	if len(lats) == 0 {
+		return nil, fmt.Errorf("ilp: no latency tables given")
+	}
+	n := profiled(s, maxInsts)
+	nw, nt := len(windows), len(lats)
+	largest := windows[nw-1]
+	// depth[k*nt+t] is the completion time of the k-th record from the
+	// current start under table t; longest[t] the running maximum of those.
+	depth := make([]float64, largest*nt)
+	longest := make([]float64, nt)
+	sums := make([]float64, nw*nt) // by table, then window size
+	counts := make([]int, nw)
+	next := make([]int, nw) // next start of a window of each size
+	for chunk := 0; chunk < n; chunk += largest {
+		end := min(chunk+largest, n)
+		for wi := range next {
+			next[wi] = chunk
+		}
+		for {
+			// The earliest pending window start, and the smallest and the
+			// largest window starting there.
+			lo, first, last := end, -1, -1
+			for wi, w := range windows {
+				switch at := next[wi]; {
+				case at+w > end: // no more windows of this size in the chunk
+				case at < lo:
+					lo, first, last = at, wi, wi
+				case at == lo:
+					last = wi
+				}
+			}
+			if first < 0 {
+				break
+			}
+			clear(longest)
+			wi := first
+			for k := 0; k < windows[last]; k++ {
+				i := lo + k
+				o1, o2, om := int(s.Dep1[i])-lo, int(s.Dep2[i])-lo, int(s.DepMem[i])-lo
+				class := s.Class(i)
+				row := depth[k*nt : (k+1)*nt]
+				for t := range row {
+					var ready float64
+					if o1 >= 0 && depth[o1*nt+t] > ready {
+						ready = depth[o1*nt+t]
+					}
+					if o2 >= 0 && depth[o2*nt+t] > ready {
+						ready = depth[o2*nt+t]
+					}
+					if om >= 0 && depth[om*nt+t] > ready {
+						ready = depth[om*nt+t]
+					}
+					d := ready + lats[t][class]
+					row[t] = d
+					if d > longest[t] {
+						longest[t] = d
+					}
+				}
+				if k+1 < windows[wi] {
+					continue
+				}
+				// The window of size k+1 starting at lo ends here.
+				for t, l := range longest {
+					sums[t*nw+wi] += l
+				}
+				counts[wi]++
+				next[wi] += windows[wi]
+				// Move on to the next larger window starting at lo.
+				for wi++; wi <= last && next[wi] != lo; wi++ {
+				}
+			}
+		}
+	}
+	out := make([]Characteristic, nt)
+	for t := range out {
+		out[t] = characteristic(windows, sums[t*nw:(t+1)*nw], counts)
+	}
+	return out, nil
 }
 
 // fit performs a least-squares power-law fit of the measured (w, K) points
@@ -238,121 +333,110 @@ func DefaultWindows() []int {
 	return []int{2, 4, 8, 16, 32, 64, 128, 256}
 }
 
-// ScheduledResolution estimates the resolution time of the last instruction
-// of insts (a branch) on a machine dispatching width instructions per cycle,
-// with unlimited functional units. Instruction i dispatches at cycle
-// (i+1-n)·/width relative to the branch (which dispatches at cycle 0),
-// issues no earlier than one cycle after dispatch and when its producers
-// complete, and completes lat(i) cycles later. Unlike a raw critical path,
-// this credits older window contents with the execution time they already
-// had before the branch arrived — which is why measured branch resolution
-// saturates well below the whole-window critical path.
-func ScheduledResolution(insts []isa.Inst, lat LatencyFunc, width int) float64 {
-	n := len(insts)
-	if n == 0 {
-		return 0
-	}
-	if width <= 0 {
-		width = 1
-	}
-	completion := make([]float64, n)
-	var regDone [isa.NumRegs]float64
-	for i := range regDone {
-		regDone[i] = negInf
-	}
-	storeDone := make(map[uint64]float64)
-	for i := range insts {
-		in := &insts[i]
-		issue := float64(i+1-n)/float64(width) + 1
-		if r := in.Src1; r != isa.NoReg && regDone[r] > issue {
-			issue = regDone[r]
-		}
-		if r := in.Src2; r != isa.NoReg && regDone[r] > issue {
-			issue = regDone[r]
-		}
-		if in.Class == isa.Load {
-			if d, ok := storeDone[in.Addr/8]; ok && d > issue {
-				issue = d
-			}
-		}
-		done := issue + lat(i, in)
-		completion[i] = done
-		if in.Dst != isa.NoReg {
-			regDone[in.Dst] = done
-		}
-		if in.Class == isa.Store {
-			storeDone[in.Addr/8] = done
-		}
-	}
-	res := completion[n-1]
-	if res < 0 {
-		return 0
-	}
-	return res
-}
-
-const negInf = float64(-1 << 40)
-
-// ProfileResolution measures the branch-resolution characteristic: for each
-// window size w, the mean ScheduledResolution of a conditional branch over
-// the w instructions leading up to and including it, on a width-wide
-// machine. This is the drain curve a mispredicted branch actually sees — it
-// saturates once w exceeds the typical depth of the chains feeding branches,
-// unlike the whole-window characteristic which keeps growing. Branches are
-// sampled (every sample-th) to bound cost; sample <= 0 means every branch.
-func ProfileResolution(r trace.Reader, windows []int, lat LatencyFunc, width, maxInsts, sample int) (Characteristic, error) {
-	if len(windows) == 0 {
-		return Characteristic{}, fmt.Errorf("ilp: no window sizes given")
-	}
-	for i, w := range windows {
-		if w <= 0 || (i > 0 && w <= windows[i-1]) {
-			return Characteristic{}, fmt.Errorf("ilp: window sizes must be positive and ascending")
-		}
+// ProfileResolution measures the branch-resolution characteristic of the
+// packed trace s: for each window size w, the mean resolution time of a
+// conditional branch b over the w records [b+1-w, b] leading up to and
+// including it, on a width-wide machine with unlimited functional units,
+// across the first maxInsts records (0 = the whole trace). This is the
+// drain curve a mispredicted branch actually sees — it saturates once w
+// exceeds the typical depth of the chains feeding branches, unlike the
+// whole-window characteristic which keeps growing. Branches are sampled
+// (every sample-th) to bound cost; sample <= 0 means every branch, and a
+// branch with fewer than w records up to it counts toward no w-window.
+//
+// Record j of the window dispatches (j-b)/width cycles relative to the
+// branch, issues no earlier than one cycle after dispatch and once its
+// in-window producers complete, and completes lat[class] cycles later; the
+// result is the branch's completion time, floored at 0. Unlike a raw
+// critical path this credits older window contents with the execution time
+// they had before the branch arrived, which is why measured branch
+// resolution saturates well below the whole-window critical path. Only the
+// branch's dependence cone inside the window affects it, so each (branch,
+// window) evaluates that cone alone, memoized in a generation-stamped
+// scratch array.
+func ProfileResolution(s *trace.SoA, windows []int, lat Latencies, width, maxInsts, sample int) (Characteristic, error) {
+	if err := checkWindows(windows); err != nil {
+		return Characteristic{}, err
 	}
 	if sample <= 0 {
 		sample = 1
 	}
+	if width <= 0 {
+		width = 1
+	}
+	n := profiled(s, maxInsts)
 	largest := windows[len(windows)-1]
-	buf := make([]isa.Inst, 0, 2*largest)
+	c := cone{s: s, lat: lat, width: float64(width), stamp: make([]uint32, largest), done: make([]float64, largest)}
 	sums := make([]float64, len(windows))
 	counts := make([]int, len(windows))
-	total, branchSeen := 0, 0
-	for maxInsts <= 0 || total < maxInsts {
-		in, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Characteristic{}, err
-		}
-		if len(buf) == 2*largest {
-			copy(buf, buf[largest:])
-			buf = buf[:largest]
-		}
-		buf = append(buf, in)
-		total++
-		if in.Class != isa.Branch {
+	branchSeen := 0
+	for b := 0; b < n; b++ {
+		if s.Class(b) != isa.Branch {
 			continue
 		}
 		branchSeen++
 		if branchSeen%sample != 0 {
 			continue
 		}
-		for i, w := range windows {
-			lo := len(buf) - w
-			if lo < 0 {
-				continue
+		for wi, w := range windows {
+			if b+1 < w {
+				break
 			}
-			sums[i] += ScheduledResolution(buf[lo:], lat, width)
-			counts[i]++
+			c.begin(b, b+1-w)
+			sums[wi] += max(c.completion(b), 0)
+			counts[wi]++
 		}
 	}
-	c := Characteristic{Windows: append([]int(nil), windows...), K: make([]float64, len(windows))}
-	for i := range windows {
-		if counts[i] > 0 {
-			c.K[i] = sums[i] / float64(counts[i])
+	return characteristic(windows, sums, counts), nil
+}
+
+// cone evaluates the completion time of one branch's dependence cone inside
+// one window. Entries are indexed by distance from the branch; an entry is
+// valid only while its stamp equals gen, so starting a new (branch, window)
+// costs one increment instead of clearing the array.
+type cone struct {
+	s     *trace.SoA
+	lat   Latencies
+	width float64
+	b, lo int
+	gen   uint32
+	stamp []uint32
+	done  []float64
+}
+
+// begin starts the evaluation of branch b in the window starting at lo.
+func (c *cone) begin(b, lo int) {
+	c.b, c.lo = b, lo
+	c.gen++
+	if c.gen == 0 { // wrapped: no stale stamp may alias the new generation
+		clear(c.stamp)
+		c.gen = 1
+	}
+}
+
+// completion returns the completion time of record j, lo <= j <= b.
+func (c *cone) completion(j int) float64 {
+	k := c.b - j
+	if c.stamp[k] == c.gen {
+		return c.done[k]
+	}
+	issue := float64(j-c.b)/c.width + 1
+	if p := int(c.s.Dep1[j]); p >= c.lo {
+		if d := c.completion(p); d > issue {
+			issue = d
 		}
 	}
-	c.fit()
-	return c, nil
+	if p := int(c.s.Dep2[j]); p >= c.lo {
+		if d := c.completion(p); d > issue {
+			issue = d
+		}
+	}
+	if p := int(c.s.DepMem[j]); p >= c.lo {
+		if d := c.completion(p); d > issue {
+			issue = d
+		}
+	}
+	d := issue + c.lat[c.s.Class(j)]
+	c.stamp[k], c.done[k] = c.gen, d
+	return d
 }

@@ -150,22 +150,33 @@ func chainTrace(seed uint64, n int, p float64) *trace.Trace {
 	return tr
 }
 
+// unitProfile runs Profile with the unit-latency table alone.
+func unitProfile(s *trace.SoA, windows []int, maxInsts int) (Characteristic, error) {
+	cs, err := Profile(s, windows, []Latencies{UnitLatencies()}, maxInsts)
+	if err != nil {
+		return Characteristic{}, err
+	}
+	return cs[0], nil
+}
+
 func TestProfileValidation(t *testing.T) {
-	tr := chainTrace(1, 100, 0.5)
-	if _, err := Profile(tr.Reader(), nil, UnitLatency, 0); err == nil {
+	soa := trace.Pack(chainTrace(1, 100, 0.5))
+	if _, err := unitProfile(soa, nil, 0); err == nil {
 		t.Error("empty windows accepted")
 	}
-	if _, err := Profile(tr.Reader(), []int{4, 4}, UnitLatency, 0); err == nil {
+	if _, err := unitProfile(soa, []int{4, 4}, 0); err == nil {
 		t.Error("non-ascending windows accepted")
 	}
-	if _, err := Profile(tr.Reader(), []int{0, 4}, UnitLatency, 0); err == nil {
+	if _, err := unitProfile(soa, []int{0, 4}, 0); err == nil {
 		t.Error("zero window accepted")
+	}
+	if _, err := Profile(soa, []int{2, 4}, nil, 0); err == nil {
+		t.Error("no latency tables accepted")
 	}
 }
 
 func TestProfileKGrowsWithWindow(t *testing.T) {
-	tr := chainTrace(2, 50000, 0.6)
-	c, err := Profile(tr.Reader(), DefaultWindows(), UnitLatency, 0)
+	c, err := unitProfile(trace.Pack(chainTrace(2, 50000, 0.6)), DefaultWindows(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +191,11 @@ func TestProfileKGrowsWithWindow(t *testing.T) {
 }
 
 func TestProfileSeparatesILPLevels(t *testing.T) {
-	lo, err := Profile(chainTrace(3, 50000, 0.9).Reader(), DefaultWindows(), UnitLatency, 0)
+	lo, err := unitProfile(trace.Pack(chainTrace(3, 50000, 0.9)), DefaultWindows(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Profile(chainTrace(3, 50000, 0.1).Reader(), DefaultWindows(), UnitLatency, 0)
+	hi, err := unitProfile(trace.Pack(chainTrace(3, 50000, 0.1)), DefaultWindows(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +250,7 @@ func TestEvalDegenerate(t *testing.T) {
 }
 
 func TestProfileMaxInsts(t *testing.T) {
-	tr := chainTrace(4, 10000, 0.5)
-	c, err := Profile(tr.Reader(), []int{2, 4}, UnitLatency, 100)
+	c, err := unitProfile(trace.Pack(chainTrace(4, 10000, 0.5)), []int{2, 4}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,49 @@
 package ilp
 
 import (
-	"io"
 	"testing"
 
 	"intervalsim/internal/isa"
+	"intervalsim/internal/trace"
 )
 
+// uniform returns a table giving every class latency l.
+func uniform(l float64) Latencies {
+	var t Latencies
+	for c := range t {
+		t[c] = l
+	}
+	return t
+}
+
+// resolution runs ProfileResolution on one window: insts with its last
+// record turned into a branch reading the same sources. The branch is the
+// only one with a full window behind it, so K[0] is its resolution time.
+// The reference scheduler must agree on the same window.
+func resolution(t *testing.T, insts []isa.Inst, lat Latencies, width int) float64 {
+	t.Helper()
+	tr := &trace.Trace{Insts: append([]isa.Inst(nil), insts...)}
+	if n := len(tr.Insts); n > 0 {
+		last := &tr.Insts[n-1]
+		last.Class, last.Dst, last.Target, last.Taken = isa.Branch, isa.NoReg, 0x1000, true
+	}
+	c, err := ProfileResolution(trace.Pack(tr), []int{max(len(insts), 1)}, lat, width, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := refScheduledResolution(tr.Insts, tableFunc(lat), width); c.K[0] != ref {
+		t.Fatalf("kernel resolution %v, reference %v", c.K[0], ref)
+	}
+	return c.K[0]
+}
+
 func TestScheduledResolutionEmptyAndWidth(t *testing.T) {
-	if ScheduledResolution(nil, UnitLatency, 4) != 0 {
+	if resolution(t, nil, UnitLatencies(), 4) != 0 {
 		t.Error("empty window should resolve in 0")
 	}
 	// Non-positive width treated as 1.
 	in := []isa.Inst{alu(isa.NoReg, 8)}
-	if got := ScheduledResolution(in, UnitLatency, 0); got != 2 {
+	if got := resolution(t, in, UnitLatencies(), 0); got != 2 {
 		t.Errorf("single inst at width 0 = %v, want 2 (dispatch 0, issue 1, done 2)", got)
 	}
 }
@@ -26,7 +56,7 @@ func TestScheduledResolutionIndependentLastInst(t *testing.T) {
 		window[i] = alu(8, 8) // long serial chain
 	}
 	window[63] = alu(isa.NoReg, 30)
-	if got := ScheduledResolution(window, UnitLatency, 4); got != 2 {
+	if got := resolution(t, window, UnitLatencies(), 4); got != 2 {
 		t.Errorf("independent branch resolution = %v, want 2", got)
 	}
 }
@@ -40,7 +70,7 @@ func TestScheduledResolutionCreditsOldWork(t *testing.T) {
 		window[i] = alu(8, 8)
 	}
 	raw := CriticalPathTo(window, UnitLatency)
-	sched := ScheduledResolution(window, UnitLatency, 4)
+	sched := resolution(t, window, UnitLatencies(), 4)
 	if raw != 8 {
 		t.Fatalf("raw = %v", raw)
 	}
@@ -61,7 +91,7 @@ func TestScheduledResolutionChainDominatesWhenSteep(t *testing.T) {
 		window[i] = alu(8, 8)
 	}
 	raw := CriticalPathTo(window, lat20)
-	sched := ScheduledResolution(window, lat20, 4)
+	sched := resolution(t, window, uniform(20), 4)
 	if sched < raw-10 {
 		t.Errorf("scheduled %v far below raw %v despite steep chain", sched, raw)
 	}
@@ -74,7 +104,7 @@ func TestScheduledResolutionNeverNegative(t *testing.T) {
 	for i := range window {
 		window[i] = alu(isa.NoReg, int8(8+i%32))
 	}
-	if got := ScheduledResolution(window, UnitLatency, 8); got < 0 {
+	if got := resolution(t, window, UnitLatencies(), 8); got < 0 {
 		t.Errorf("negative resolution %v", got)
 	}
 }
@@ -82,13 +112,13 @@ func TestScheduledResolutionNeverNegative(t *testing.T) {
 func TestProfileResolutionSaturates(t *testing.T) {
 	// Programs whose branches test short block-local chains: the resolution
 	// characteristic must flatten while the whole-window K keeps rising.
-	tr := branchyTrace(11, 60_000)
+	soa := trace.Pack(branchyTrace(11, 60_000))
 	windows := []int{2, 4, 8, 16, 32, 64, 128}
-	res, err := ProfileResolution(tr.Reader(), windows, UnitLatency, 4, 0, 1)
+	res, err := ProfileResolution(soa, windows, UnitLatencies(), 4, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Profile(tr.Reader(), windows, UnitLatency, 0)
+	full, err := unitProfile(soa, windows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +136,13 @@ func TestProfileResolutionSaturates(t *testing.T) {
 }
 
 func TestProfileResolutionSampling(t *testing.T) {
-	tr := branchyTrace(13, 30_000)
+	soa := trace.Pack(branchyTrace(13, 30_000))
 	windows := []int{4, 16, 64}
-	all, err := ProfileResolution(tr.Reader(), windows, UnitLatency, 4, 0, 1)
+	all, err := ProfileResolution(soa, windows, UnitLatencies(), 4, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := ProfileResolution(tr.Reader(), windows, UnitLatency, 4, 0, 8)
+	sampled, err := ProfileResolution(soa, windows, UnitLatencies(), 4, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,53 +161,31 @@ func TestProfileResolutionSampling(t *testing.T) {
 }
 
 func TestProfileResolutionValidation(t *testing.T) {
-	tr := branchyTrace(17, 1000)
-	if _, err := ProfileResolution(tr.Reader(), nil, UnitLatency, 4, 0, 1); err == nil {
+	soa := trace.Pack(branchyTrace(17, 1000))
+	if _, err := ProfileResolution(soa, nil, UnitLatencies(), 4, 0, 1); err == nil {
 		t.Error("empty windows accepted")
 	}
-	if _, err := ProfileResolution(tr.Reader(), []int{8, 4}, UnitLatency, 4, 0, 1); err == nil {
+	if _, err := ProfileResolution(soa, []int{8, 4}, UnitLatencies(), 4, 0, 1); err == nil {
 		t.Error("descending windows accepted")
 	}
 }
 
 // branchyTrace builds blocks of chained ALU work ending in a branch that
 // tests the block's chain result.
-func branchyTrace(seed uint64, n int) *traceWrap {
-	t := &traceWrap{}
+func branchyTrace(seed uint64, n int) *trace.Trace {
+	tr := &trace.Trace{}
 	pc := uint64(0x1000)
-	for len(t.insts) < n {
-		chain := int8(8 + len(t.insts)%16)
+	for len(tr.Insts) < n {
+		chain := int8(8 + len(tr.Insts)%16)
 		for k := 0; k < 6; k++ {
-			t.insts = append(t.insts, alu(chain, chain))
+			tr.Insts = append(tr.Insts, alu(chain, chain))
 			pc += 4
 		}
-		t.insts = append(t.insts, isa.Inst{
+		tr.Insts = append(tr.Insts, isa.Inst{
 			PC: pc, Class: isa.Branch, Src1: chain, Src2: isa.NoReg, Dst: isa.NoReg,
-			Target: 0x1000, Taken: len(t.insts)%3 != 0,
+			Target: 0x1000, Taken: len(tr.Insts)%3 != 0,
 		})
 		pc += 4
 	}
-	return t
+	return tr
 }
-
-// traceWrap is a minimal in-package stand-in for trace.Trace to avoid the
-// import in this focused test file.
-type traceWrap struct{ insts []isa.Inst }
-
-func (t *traceWrap) Reader() *wrapReader { return &wrapReader{insts: t.insts} }
-
-type wrapReader struct {
-	insts []isa.Inst
-	pos   int
-}
-
-func (r *wrapReader) Next() (isa.Inst, error) {
-	if r.pos >= len(r.insts) {
-		return isa.Inst{}, errEOF
-	}
-	in := r.insts[r.pos]
-	r.pos++
-	return in, nil
-}
-
-var errEOF = io.EOF

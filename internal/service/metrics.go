@@ -168,6 +168,7 @@ type MetricsResponse struct {
 
 	OverlayCache CacheMetrics    `json:"overlay_cache"`
 	TraceCache   CacheMetrics    `json:"trace_cache"`
+	ModelCache   CacheMetrics    `json:"model_cache"` // analytic model sets
 	PeerFill     PeerFillMetrics `json:"peer_fill"`
 	Store        *StoreMetrics   `json:"store,omitempty"` // nil without -store
 

@@ -10,8 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"intervalsim/internal/cache"
 	"intervalsim/internal/core"
 	"intervalsim/internal/experiments"
+	"intervalsim/internal/harness"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/store"
 	"intervalsim/internal/trace"
@@ -36,8 +38,9 @@ type Options struct {
 	MaxInsts int
 	// JobHistory bounds retained finished jobs; <= 0 means 256.
 	JobHistory int
-	// OverlayCapacity bounds the server's miss-event overlay cache;
-	// <= 0 means 16 (one byte per instruction per entry).
+	// OverlayCapacity bounds the server's miss-event overlay cache and its
+	// analytic model-set cache; <= 0 means 16 (one byte per instruction per
+	// overlay).
 	OverlayCapacity int
 	// MaxSweepPoints caps the grid size of one sweep request; <= 0 means 4096.
 	MaxSweepPoints int
@@ -116,13 +119,15 @@ func (o Options) withDefaults() Options {
 // are shared through the process-wide experiments memo (one generation +
 // pack per (workload, insts) no matter how many clients ask); overlays are
 // shared through the server's own bounded single-flight cache (one
-// speculation pre-pass per (trace, predictor, cache geometry)).
+// speculation pre-pass per (trace, predictor, cache geometry)), and so are
+// analytic model sets (one set of ILP characteristics per modelKey).
 type Server struct {
 	opts     Options
 	pool     *Pool
 	jobs     *jobStore
 	metrics  *metrics
 	overlays *overlay.Cache
+	models   *harness.Memo[modelKey, *core.ModelSet]
 	traces   *experiments.TraceCache
 	version  string
 
@@ -160,6 +165,7 @@ func New(opts Options) *Server {
 		jobs:     newJobStore(opts.JobHistory),
 		metrics:  newMetrics(),
 		overlays: overlay.NewCache(opts.OverlayCapacity),
+		models:   harness.NewMemo[modelKey, *core.ModelSet](opts.OverlayCapacity),
 		traces:   opts.TraceCache,
 		fills:    newFillIndex(opts.FillIndexCapacity),
 		fillHTTP: &http.Client{Timeout: opts.PeerFillTimeout},
@@ -301,7 +307,7 @@ func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error)
 	if err != nil {
 		return nil, err
 	}
-	set, err := core.NewModelSet(soa, ov, in.cfg, in.cfg.ROBSize, in.warmup, in.insts)
+	set, err := s.modelSet(ov, in, in.cfg.ROBSize)
 	if err != nil {
 		return nil, err
 	}
@@ -326,6 +332,34 @@ func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error)
 		out.IPC = 1 / out.CPI
 	}
 	return out, nil
+}
+
+// modelKey identifies one memoized model set. The overlay pointer fixes the
+// packed trace and the speculation fingerprints; the FU and cache latencies,
+// warmup and instruction budget are the rest of what a set's family shares.
+// maxROB fixes the window ladder every characteristic is profiled over, and
+// the power-law fits depend on the ladder, so a set sized for a larger ROB
+// would not answer exactly as the in-process NewModelSet(…, cfg.ROBSize, …)
+// does.
+type modelKey struct {
+	ov     *overlay.Overlay
+	mem    cache.Latencies
+	fu     uarch.PoolLatencies
+	warmup uint64
+	insts  int
+	maxROB int
+}
+
+// modelSet returns the model set of (ov, in's latencies, warmup and insts,
+// maxROB) over ov's trace from the server's bounded single-flight memo,
+// building it on first use. A set is safe for concurrent use and fully
+// determined by its key, so every request and sweep point of the family
+// shares one.
+func (s *Server) modelSet(ov *overlay.Overlay, in simInputs, maxROB int) (*core.ModelSet, error) {
+	k := modelKey{ov: ov, mem: in.cfg.Mem.Lat, fu: in.cfg.FU.Latencies(), warmup: in.warmup, insts: in.insts, maxROB: maxROB}
+	return s.models.Get(k, func() (*core.ModelSet, error) {
+		return core.NewModelSet(ov.Trace, ov, in.cfg, maxROB, in.warmup, in.insts)
+	})
 }
 
 // modelPoint evaluates the analytic model at cfg: the predicted cycle stack
@@ -604,6 +638,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		TrackedJobs:   s.jobs.len(),
 		Jobs:          jobs,
 		OverlayCache:  cacheMetrics(s.overlays.Counters()),
+		ModelCache:    cacheMetrics(s.models.Counters()),
 		TraceCache:    cacheMetrics(s.traces.Counters()),
 		PeerFill:      s.peerFillMetrics(),
 		Latency:       lat,

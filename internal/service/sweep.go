@@ -140,8 +140,8 @@ type sweepArtifacts struct {
 // overlay follows the resolved predictor, so every predictor kind gets its
 // own memoized overlay and model. Sampled runs bypass overlay replay by
 // design (precomputed dependences do not apply to fast-forwarded runs), so
-// that mode never computes one. Model mode sizes one ModelSet to the
-// sweep's largest ROB.
+// that mode never computes one. Model mode takes the ModelSet sized to the
+// sweep's largest ROB from the server's model-set memo.
 func (s *Server) artifacts(in *sweepInputs) (*sweepArtifacts, error) {
 	tr, soa, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
@@ -159,7 +159,7 @@ func (s *Server) artifacts(in *sweepInputs) (*sweepArtifacts, error) {
 		for _, sp := range in.points {
 			maxROB = max(maxROB, sp.ROB)
 		}
-		if a.set, err = core.NewModelSet(soa, a.ov, in.cfg, maxROB, in.warmup, in.insts); err != nil {
+		if a.set, err = s.modelSet(a.ov, in.simInputs, maxROB); err != nil {
 			return nil, err
 		}
 	}

@@ -21,7 +21,8 @@ import (
 // property of the trace alone, so a trace packed once is reused across every
 // machine configuration of a sweep with no per-run rediscovery.
 //
-// Invariants (established by Pack/PackReader, relied on by internal/uarch):
+// Invariants (established by Pack/PackReader, checked by DecodeWire, relied
+// on by internal/uarch and internal/ilp):
 //
 //   - All slices have identical length Len().
 //   - Meta[i] packs the class in the low 4 bits and the taken flag in bit 4,
@@ -165,41 +166,83 @@ func newSoA(capHint int) *SoA {
 	}
 }
 
-func (s *SoA) appendInst(in *isa.Inst, reg *regState) {
-	reg.ensure()
-	i := int32(len(s.Meta))
+// producers returns the dependence metadata of in at trace index i — its
+// operand producers and, for a load, the youngest earlier store to its
+// word — and records in as the newest producer of what it writes.
+func (r *regState) producers(in *isa.Inst, i int32) (d1, d2, dm int32) {
+	r.ensure()
+	d1, d2, dm = NoDep, NoDep, NoDep
+	if in.Src1 != isa.NoReg {
+		d1 = r.producer[in.Src1]
+	}
+	if in.Src2 != isa.NoReg {
+		d2 = r.producer[in.Src2]
+	}
+	switch in.Class {
+	case isa.Load:
+		if p, ok := r.store[in.Addr/8]; ok {
+			dm = p
+		}
+	case isa.Store:
+		r.store[in.Addr/8] = i
+	}
+	if in.Dst != isa.NoReg {
+		r.producer[in.Dst] = i
+	}
+	return d1, d2, dm
+}
+
+// metaOf packs in's class and taken flag into its Meta byte.
+func metaOf(in *isa.Inst) uint8 {
 	meta := uint8(in.Class) & MetaClassMask
 	if in.Taken {
 		meta |= MetaTakenBit
 	}
-	dep := func(r int8) int32 {
-		if r == isa.NoReg {
-			return NoDep
-		}
-		return reg.producer[r]
-	}
-	d1, d2, dm := dep(in.Src1), dep(in.Src2), NoDep
-	switch in.Class {
-	case isa.Load:
-		if p, ok := reg.store[in.Addr/8]; ok {
-			dm = p
-		}
-	case isa.Store:
-		reg.store[in.Addr/8] = i
-	}
-	if in.Dst != isa.NoReg {
-		reg.producer[in.Dst] = i
-	}
+	return meta
+}
+
+func (s *SoA) appendInst(in *isa.Inst, reg *regState) {
+	d1, d2, dm := reg.producers(in, int32(len(s.Meta)))
 	s.PC = append(s.PC, in.PC)
 	s.Addr = append(s.Addr, in.Addr)
 	s.Target = append(s.Target, in.Target)
 	s.Src1 = append(s.Src1, in.Src1)
 	s.Src2 = append(s.Src2, in.Src2)
 	s.Dst = append(s.Dst, in.Dst)
-	s.Meta = append(s.Meta, meta)
+	s.Meta = append(s.Meta, metaOf(in))
 	s.Dep1 = append(s.Dep1, d1)
 	s.Dep2 = append(s.Dep2, d2)
 	s.DepMem = append(s.DepMem, dm)
+}
+
+// verifyPacked checks that s is exactly what Pack makes of its own records —
+// reflect.DeepEqual(s, Pack(s.Unpack())) without building either copy:
+// every record passes isa.Inst.Validate, Meta holds nothing but the class
+// and the taken flag, and Dep1/Dep2/DepMem name the producers Pack derives.
+// Consumers index per-class and per-register tables with these fields and
+// follow the dependence indices without bounds checks of their own.
+func (s *SoA) verifyPacked() error {
+	var reg regState
+	var in isa.Inst
+	for i := range s.Meta {
+		s.InstAt(i, &in)
+		if err := in.Validate(); err != nil {
+			return fmt.Errorf("record %d: %v", i, err)
+		}
+		if m := metaOf(&in); s.Meta[i] != m {
+			return fmt.Errorf("record %d: Meta %#x, want %#x", i, s.Meta[i], m)
+		}
+		d1, d2, dm := reg.producers(&in, int32(i))
+		for _, f := range [...]struct {
+			name      string
+			got, want int32
+		}{{"Dep1", s.Dep1[i], d1}, {"Dep2", s.Dep2[i], d2}, {"DepMem", s.DepMem[i], dm}} {
+			if f.got != f.want {
+				return fmt.Errorf("record %d: %s %d, want %d", i, f.name, f.got, f.want)
+			}
+		}
+	}
+	return nil
 }
 
 // Unpack converts back to the array-of-structs Trace (mostly for tests and

@@ -11,9 +11,10 @@ import (
 // paid for generating and packing a trace serves the finished SoA bytes to
 // a peer that would otherwise recompute them. The frame is self-validating
 // — magic, record count, and a trailing CRC32C over the payload — and the
-// decoder additionally checks the structural invariants Pack establishes
-// (dependence indices strictly behind their consumer), so a truncated or
-// corrupted fill can never reach the simulator.
+// decoder additionally requires the decoded trace to be exactly what Pack
+// makes of its own records, so neither a corrupted fill nor a well-formed
+// frame from a peer that lies about its contents can reach the simulator or
+// the ILP kernels.
 //
 // Layout (little-endian):
 //
@@ -97,9 +98,12 @@ func (s *SoA) EncodeWire() []byte {
 
 // DecodeWire parses and validates a wire frame back into a packed trace.
 // maxRecords bounds the accepted trace length (<= 0 means the int32 packing
-// limit); the checksum and the per-record dependence invariants are always
-// verified, so the returned SoA is safe to hand to the simulator's fast
-// path even when the bytes came from an untrusted peer.
+// limit). The checksum is verified, and so is every record: the decoded
+// trace must equal Pack of its own records (valid classes, registers,
+// addresses and targets, no stray Meta bits, and exactly the dependence
+// indices Pack derives). Anyone can recompute the checksum, so only this
+// makes the returned SoA safe to hand to the simulator and the ILP kernels
+// when the bytes came from an untrusted peer.
 func DecodeWire(data []byte, maxRecords int) (*SoA, error) {
 	if maxRecords <= 0 {
 		maxRecords = maxSoALen
@@ -173,20 +177,8 @@ func DecodeWire(data []byte, maxRecords int) (*SoA, error) {
 		at += 4
 	}
 
-	// Structural invariants: every dependence index points strictly behind
-	// its consumer (or is NoDep). The simulator indexes these arrays without
-	// bounds checks of its own, so a frame that passed the checksum but
-	// carries nonsense indices is still rejected here.
-	for i := 0; i < n; i++ {
-		if d := s.Dep1[i]; d != NoDep && (d < 0 || d >= int32(i)) {
-			return nil, fmt.Errorf("trace: wire record %d: Dep1 %d out of range", i, d)
-		}
-		if d := s.Dep2[i]; d != NoDep && (d < 0 || d >= int32(i)) {
-			return nil, fmt.Errorf("trace: wire record %d: Dep2 %d out of range", i, d)
-		}
-		if d := s.DepMem[i]; d != NoDep && (d < 0 || d >= int32(i)) {
-			return nil, fmt.Errorf("trace: wire record %d: DepMem %d out of range", i, d)
-		}
+	if err := s.verifyPacked(); err != nil {
+		return nil, fmt.Errorf("trace: wire %w", err)
 	}
 	return s, nil
 }

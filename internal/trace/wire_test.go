@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"intervalsim/internal/isa"
 )
 
 // TestWireRoundTrip: EncodeWire → DecodeWire is exact — the decoded SoA
@@ -91,4 +93,84 @@ func TestWireRejectsBadDeps(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Dep1") {
 		t.Fatalf("self-dependence accepted (err = %v)", err)
 	}
+}
+
+// wireMutants returns checksum-valid frames of soa, each with one record
+// changed the way a peer that recomputes the checksum could change it. The
+// first three crashed consumers before the decoder checked records: class 13
+// indexed the simulator's per-class tables out of range, and Dst 100 or
+// Src1 90 the overlay profile's per-register tables.
+func wireMutants(soa *SoA) map[string][]byte {
+	first := func(ok func(i int) bool) int {
+		for i := 1; i < soa.Len(); i++ {
+			if ok(i) {
+				return i
+			}
+		}
+		panic("trace: no record to mutate")
+	}
+	frame := func(edit func(s *SoA)) []byte {
+		s := Pack(soa.Unpack())
+		edit(s)
+		return s.EncodeWire()
+	}
+	const r = 5
+	load := first(func(i int) bool { return soa.Class(i) == isa.Load })
+	nonLoad := first(func(i int) bool { return soa.Class(i) != isa.Load })
+	dep2 := first(func(i int) bool { return soa.Dep2[i] > 0 })
+	return map[string][]byte{
+		"class 13":            frame(func(s *SoA) { s.Meta[r] = s.Meta[r]&^MetaClassMask | 13 }),
+		"Dst 100":             frame(func(s *SoA) { s.Dst[r] = 100 }),
+		"Src1 90":             frame(func(s *SoA) { s.Src1[r] = 90 }),
+		"stray Meta bit":      frame(func(s *SoA) { s.Meta[r] |= 1 << 6 }),
+		"load at address 0":   frame(func(s *SoA) { s.Addr[load] = 0 }),
+		"older Dep2 producer": frame(func(s *SoA) { s.Dep2[dep2]-- }),
+		"DepMem on a non-load": frame(func(s *SoA) {
+			s.DepMem[nonLoad] = 0
+		}),
+	}
+}
+
+// TestWireRejectsInvalidRecords: a frame whose checksum is valid but whose
+// records differ from what Pack makes of them is rejected, naming the
+// record. Every mutant here keeps its dependence indices behind their
+// consumers, so checking only that would accept them all.
+func TestWireRejectsInvalidRecords(t *testing.T) {
+	soa := Pack(randomTrace(9, 200))
+	for name, data := range wireMutants(soa) {
+		if _, err := DecodeWire(data, 0); err == nil || !strings.Contains(err.Error(), "record") {
+			t.Errorf("%s: accepted (err = %v)", name, err)
+		}
+	}
+}
+
+// FuzzDecodeWire: DecodeWire never panics, and every frame it accepts is
+// exactly what Pack makes of the records it carries. Each input is also
+// tried re-signed, as a lying peer would send it, so mutations reach the
+// record checks instead of stopping at the checksum.
+func FuzzDecodeWire(f *testing.F) {
+	// Ten records keep frames small enough for the fuzzer's minimizer; this
+	// seed has a load, a non-load and a second-source producer to mutate.
+	soa := Pack(randomTrace(14, 10))
+	f.Add(soa.EncodeWire())
+	for _, data := range wireMutants(soa) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(frame []byte) {
+			s, err := DecodeWire(frame, 64)
+			if err != nil {
+				return
+			}
+			if !reflect.DeepEqual(s, Pack(s.Unpack())) {
+				t.Fatalf("accepted a %d-record frame that differs from Pack of its records", s.Len())
+			}
+		}
+		check(data)
+		if len(data) >= 16 {
+			signed := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(signed[len(signed)-4:], crc32.Checksum(signed[8:len(signed)-4], soaCRCTable))
+			check(signed)
+		}
+	})
 }

@@ -186,6 +186,21 @@ func (f FUs) pools() [numPools]FUPool {
 	return [numPools]FUPool{f.IntALU, f.IntMul, f.IntDiv, f.FPAdd, f.FPMul, f.FPDiv, f.MemPort}
 }
 
+// PoolLatencies holds the execution latency of every FU pool, in the order
+// of the FUs fields.
+type PoolLatencies [numPools]int
+
+// Latencies returns every pool's execution latency: the part of the FU
+// configuration the analytic model reads (counts and pipelining gate issue
+// bandwidth in the detailed simulator only).
+func (f FUs) Latencies() PoolLatencies {
+	var l PoolLatencies
+	for i, p := range f.pools() {
+		l[i] = p.Latency
+	}
+	return l
+}
+
 // OpLatency returns the fixed execution latency for class, or 0 for loads
 // (whose latency comes from the cache hierarchy).
 func (f FUs) OpLatency(class isa.Class) int {
