@@ -36,8 +36,8 @@ import (
 	"intervalsim/internal/bpred"
 	"intervalsim/internal/cluster"
 	"intervalsim/internal/core"
-	"intervalsim/internal/isa"
 	"intervalsim/internal/experiments"
+	"intervalsim/internal/isa"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/service"
 	"intervalsim/internal/trace"
@@ -75,20 +75,20 @@ type benchPoint struct {
 // costs (overlay computation, shared ILP characteristics) are charged to the
 // timings they benefit.
 type sweepBench struct {
-	Benchmark       string  `json:"benchmark"`
-	Insts           int     `json:"insts"`
-	Points          int     `json:"points"`
-	LiveSeconds     float64 `json:"live_s"`
-	ReplaySeconds   float64 `json:"replay_s"`
-	SampledSeconds  float64 `json:"sampled_s"`
-	ModelSeconds    float64 `json:"model_s"`
-	ReplaySpeedup   float64 `json:"replay_speedup"`
-	SampledSpeedup  float64 `json:"sampled_speedup"`
-	ModelSpeedup    float64 `json:"model_speedup"`
-	OverlayHits     uint64  `json:"overlay_hits"`
-	OverlayMisses   uint64  `json:"overlay_misses"`
-	OverlayHitRate  float64 `json:"overlay_hit_rate"`
-	ModelMeanErr    float64 `json:"model_cpi_mean_abs_err"`
+	Benchmark      string  `json:"benchmark"`
+	Insts          int     `json:"insts"`
+	Points         int     `json:"points"`
+	LiveSeconds    float64 `json:"live_s"`
+	ReplaySeconds  float64 `json:"replay_s"`
+	SampledSeconds float64 `json:"sampled_s"`
+	ModelSeconds   float64 `json:"model_s"`
+	ReplaySpeedup  float64 `json:"replay_speedup"`
+	SampledSpeedup float64 `json:"sampled_speedup"`
+	ModelSpeedup   float64 `json:"model_speedup"`
+	OverlayHits    uint64  `json:"overlay_hits"`
+	OverlayMisses  uint64  `json:"overlay_misses"`
+	OverlayHitRate float64 `json:"overlay_hit_rate"`
+	ModelMeanErr   float64 `json:"model_cpi_mean_abs_err"`
 	// Sampled-run accounting: the pinned phase lengths, the fewest
 	// measurement units any point observed, how many of the Points'
 	// 95% CPI intervals cover that point's full-run CPI, and the mean

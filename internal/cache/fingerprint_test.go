@@ -35,14 +35,14 @@ func TestHierarchyFingerprintLatencyInvariant(t *testing.T) {
 // same geometry tweak between L1I and L1D (the positional tags at work).
 func TestHierarchyFingerprintDistinct(t *testing.T) {
 	mutations := map[string]func(*HierarchyConfig){
-		"L1I size":  func(h *HierarchyConfig) { h.L1I.Size = 32 << 10 },
-		"L1I line":  func(h *HierarchyConfig) { h.L1I.LineSize = 32 },
-		"L1I ways":  func(h *HierarchyConfig) { h.L1I.Ways = 4 },
-		"L1I repl":  func(h *HierarchyConfig) { h.L1I.Repl = Random },
-		"L1D size":  func(h *HierarchyConfig) { h.L1D.Size = 32 << 10 },
-		"L1D ways":  func(h *HierarchyConfig) { h.L1D.Ways = 8 },
-		"L2 size":   func(h *HierarchyConfig) { h.L2.Size = 2 << 20 },
-		"L2 ways":   func(h *HierarchyConfig) { h.L2.Ways = 16 },
+		"L1I size": func(h *HierarchyConfig) { h.L1I.Size = 32 << 10 },
+		"L1I line": func(h *HierarchyConfig) { h.L1I.LineSize = 32 },
+		"L1I ways": func(h *HierarchyConfig) { h.L1I.Ways = 4 },
+		"L1I repl": func(h *HierarchyConfig) { h.L1I.Repl = Random },
+		"L1D size": func(h *HierarchyConfig) { h.L1D.Size = 32 << 10 },
+		"L1D ways": func(h *HierarchyConfig) { h.L1D.Ways = 8 },
+		"L2 size":  func(h *HierarchyConfig) { h.L2.Size = 2 << 20 },
+		"L2 ways":  func(h *HierarchyConfig) { h.L2.Ways = 16 },
 		"swap I/D ways": func(h *HierarchyConfig) {
 			h.L1I.Ways, h.L1D.Ways = h.L1D.Ways, h.L1I.Ways
 		},

@@ -124,8 +124,8 @@ type FleetCaches struct {
 	OverlayHits, OverlayMisses uint64
 	TraceHits, TraceMisses     uint64
 
-	TraceFills, OverlayFills         uint64
-	TracesComputed, OverlaysComputed uint64
+	TraceFills, OverlayFills          uint64
+	TracesComputed, OverlaysComputed  uint64
 	FillBytesFetched, FillBytesServed uint64
 	FillErrors                        uint64
 }

@@ -31,10 +31,10 @@ func FuzzRead(f *testing.F) {
 	// (see boundary_test.go): lying counts that stress the preallocation
 	// cap, truncation at the last record, and trailing bytes past the
 	// declared count.
-	f.Add(headerWithCount(1 << 20))            // count exactly at the preallocation cap, no body
-	f.Add(headerWithCount(1<<20 + 1))          // one past the cap
-	f.Add(headerWithCount(^uint64(0)))         // maximal lying count
-	f.Add(buf.Bytes()[:buf.Len()-1])           // one byte short of the final record
+	f.Add(headerWithCount(1 << 20))                          // count exactly at the preallocation cap, no body
+	f.Add(headerWithCount(1<<20 + 1))                        // one past the cap
+	f.Add(headerWithCount(^uint64(0)))                       // maximal lying count
+	f.Add(buf.Bytes()[:buf.Len()-1])                         // one byte short of the final record
 	f.Add(append(append([]byte(nil), buf.Bytes()...), 0x00)) // one trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -69,14 +69,14 @@ const noDep = int64(-1)
 // completion time, class, and address — so a slot stays within one cache
 // line instead of dragging the full 40-byte isa.Inst through the scheduler.
 type robEntry struct {
-	dep1   int64 // producer sequence numbers, noDep if none
-	dep2   int64
-	depMem int64  // youngest in-flight store to the same word (loads only)
-	seq    uint64 // sequence number (= trace index when not sampling)
-	doneAt uint64
-	addr   uint64 // effective address for loads/stores
-	class  isa.Class
-	issued bool
+	dep1    int64 // producer sequence numbers, noDep if none
+	dep2    int64
+	depMem  int64  // youngest in-flight store to the same word (loads only)
+	seq     uint64 // sequence number (= trace index when not sampling)
+	doneAt  uint64
+	addr    uint64 // effective address for loads/stores
+	class   isa.Class
+	issued  bool
 	redirct bool // this is the pending mispredicted control instruction
 	vpredOK bool // result correctly value-predicted: dependents need not wait
 	vflush  bool // confident-wrong value prediction: flush when this issues
