@@ -17,13 +17,17 @@
 // width — minutes of simulation become seconds of arithmetic, at the model's
 // accuracy rather than the simulator's.
 //
-// Points run in parallel on a fail-soft worker pool: a design point that
-// fails (or hangs past -timeout) is reported on stderr while every other
-// point's CSV row is still emitted, in grid order, byte-identical to a
-// serial run. The exit code is 0 only when every point succeeded. After the
-// grid, stderr summarizes which simulator paths ran (packed trace, overlay
-// replay) and any fast-path fallbacks, so a sweep that silently degraded to
-// a slower path is visible.
+// Each point is evaluated by service.EvalPoint and its row written by
+// cluster.CSVSink: the evaluator and renderer the intervalsimd daemon and
+// the fleet coordinator use, so an in-process sweep and a distributed one
+// (-endpoints, or sweepctl) write the same CSV by construction. Points run
+// in parallel on a fail-soft worker pool: a design point that fails (or
+// hangs past -timeout) is reported on stderr while every other point's CSV
+// row is still emitted, in grid order, byte-identical to a serial run. The
+// exit code is 0 only when every point succeeded. After the grid, stderr
+// summarizes which simulator paths ran (packed trace, overlay replay) and
+// any fast-path fallbacks, so a sweep that silently degraded to a slower
+// path is visible.
 //
 // Usage:
 //
@@ -40,9 +44,9 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"intervalsim/internal/bpred"
@@ -51,7 +55,7 @@ import (
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/harness"
 	"intervalsim/internal/overlay"
-	"intervalsim/internal/report"
+	"intervalsim/internal/service"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/version"
@@ -80,7 +84,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	sampleSkip := fs.Uint64("sample-skip", 18_000, "instructions functionally warmed between detailed phases (-mode sampled)")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "design points simulated in parallel")
 	keepGoing := fs.Bool("keep-going", true, "continue past failed design points (successful rows are always emitted)")
-	timeout := fs.Duration("timeout", 0, "wall-clock deadline per design point (0 = none)")
+	timeout := fs.Duration("timeout", 0, "wall-clock deadline per design point (0 = none; under -endpoints, the daemon's default deadline)")
 	retries := fs.Int("retries", 0, "retries per transiently failing point")
 	endpoints := fs.String("endpoints", "", "comma-separated intervalsimd endpoints: shard the sweep across a fleet instead of simulating in-process (see sweepctl for full control)")
 	showVersion := fs.Bool("version", false, "print the build identity and exit")
@@ -177,7 +181,7 @@ func runCluster(stdout, stderr io.Writer, endpoints, bench string, p sweepParams
 			eps = append(eps, ep)
 		}
 	}
-	widths, depths, robs := gridAxes()
+	widths, depths, robs := service.DefaultAxes()
 	sink := cluster.NewCSVSink(stdout, p.mode, false)
 	stats, runErr := cluster.Run(context.Background(), cluster.Options{
 		Endpoints:      eps,
@@ -213,70 +217,45 @@ func runCluster(stdout, stderr io.Writer, endpoints, bench string, p sweepParams
 	return 0
 }
 
-// gridAxes returns the swept (width, depth, rob) axes.
-func gridAxes() (widths, depths, robs []int) {
-	return []int{2, 4, 8}, []int{3, 7, 11}, []int{64, 128, 256}
+// permanent marks the failures that retrying cannot fix, so they never
+// consume the retry budget: every model error, invalid configurations,
+// watchdog trips and bad analysis inputs are deterministic.
+func permanent(mode string, err error) error {
+	if mode == "model" || errors.Is(err, uarch.ErrBadConfig) || errors.Is(err, uarch.ErrWatchdog) || errors.Is(err, core.ErrBadInput) {
+		return harness.Permanent(err)
+	}
+	return err
 }
 
-// grid enumerates the design points in canonical (width, depth, rob) order —
-// the order CSV rows are emitted in, regardless of execution schedule.
-func grid() []uarch.Config {
-	widths, depths, robs := gridAxes()
-	var out []uarch.Config
-	for _, width := range widths {
-		for _, depth := range depths {
-			for _, rob := range robs {
-				cfg := experiments.Point(width, depth, rob)
-				if testPointHook != nil {
-					testPointHook(&cfg)
-				}
-				out = append(out, cfg)
-			}
+// summarizePaths reports which simulator execution paths the grid's points
+// took, and any fast-path fallbacks. Model points run no simulator.
+func summarizePaths(w io.Writer, results []harness.Result[service.BatchPoint]) {
+	paths, fallbacks := make(map[string]int), make(map[string]int)
+	for _, r := range results {
+		if r.Err != nil || r.Value.Path == "model" {
+			continue
+		}
+		paths[r.Value.Path]++
+		if r.Value.Fallback != "" {
+			fallbacks[r.Value.Fallback]++
 		}
 	}
-	return out
-}
-
-// pathTally counts which simulator execution paths the grid actually took,
-// and any fast-path fallbacks, across concurrent points.
-type pathTally struct {
-	mu        sync.Mutex
-	paths     map[string]int
-	fallbacks map[string]int
-}
-
-func (pt *pathTally) note(res *uarch.Result) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if pt.paths == nil {
-		pt.paths = make(map[string]int)
-		pt.fallbacks = make(map[string]int)
-	}
-	pt.paths[res.Path]++
-	if res.Fallback != "" {
-		pt.fallbacks[res.Fallback]++
-	}
-}
-
-func (pt *pathTally) summarize(w io.Writer) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if len(pt.paths) == 0 {
+	if len(paths) == 0 {
 		return
 	}
 	var parts []string
-	for p, n := range pt.paths {
+	for p, n := range paths {
 		parts = append(parts, fmt.Sprintf("%d×%s", n, p))
 	}
 	sort.Strings(parts)
 	fmt.Fprintf(w, "sweep: simulator paths: %s\n", strings.Join(parts, ", "))
 	var reasons []string
-	for r := range pt.fallbacks {
+	for r := range fallbacks {
 		reasons = append(reasons, r)
 	}
 	sort.Strings(reasons)
 	for _, r := range reasons {
-		fmt.Fprintf(w, "sweep: %d× fallback: %s\n", pt.fallbacks[r], r)
+		fmt.Fprintf(w, "sweep: %d× fallback: %s\n", fallbacks[r], r)
 	}
 }
 
@@ -287,6 +266,14 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	soa, err := trace.PackReader(workload.MustNew(wc, p.insts))
 	if err != nil {
 		return err
+	}
+	a := &service.SweepArtifacts{
+		Mode:           p.mode,
+		Decompose:      p.mode == "sim",
+		Warmup:         p.warmup,
+		SampleDetailed: p.sampleDetailed,
+		SampleSkip:     p.sampleSkip,
+		SoA:            soa,
 	}
 
 	// The grid varies only timing parameters — every point shares one
@@ -316,186 +303,59 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 		base.VPred = &preset
 	}
 	base.FetchRate = p.fetchRate
-	var ov *overlay.Overlay
+	widths, depths, robs := service.DefaultAxes()
+	points := service.Grid(widths, depths, robs)
 	if p.mode != "sampled" {
-		if ov, err = overlay.Shared.GetSpec(soa, base.Pred, base.Mem, base.VPred); err != nil {
+		if a.Overlay, err = overlay.Shared.GetSpec(soa, base.Pred, base.Mem, base.VPred); err != nil {
+			return err
+		}
+	}
+	switch p.mode {
+	case "sim":
+		a.Trace = soa.Unpack() // AoS view for the decomposer
+	case "model":
+		if a.Models, err = core.NewModelSet(soa, a.Overlay, base, slices.Max(robs), p.warmup, p.insts); err != nil {
 			return err
 		}
 	}
 
-	points := grid()
-	for i := range points {
-		points[i].Pred = base.Pred
-		points[i].VPred = base.VPred
-		points[i].FetchRate = base.FetchRate
-	}
-	var tally pathTally
-	var headers []string
-	var point func(ctx context.Context, cfg uarch.Config) ([]string, error)
-	switch p.mode {
-	case "sim":
-		headers = []string{"width", "depth", "rob", "ipc", "avg_penalty",
-			"penalty_frontend", "penalty_drain", "penalty_fu", "penalty_shortd", "penalty_longd"}
-		tr := soa.Unpack() // AoS view for the decomposer
-		point = func(ctx context.Context, cfg uarch.Config) ([]string, error) {
-			return simPoint(ctx, soa, tr, ov, cfg, p.warmup, &tally)
+	jobs := make([]harness.Job[service.BatchPoint], len(points))
+	for i, sp := range points {
+		cfg := experiments.Point(sp.Width, sp.Depth, sp.ROB)
+		cfg.Pred = base.Pred
+		cfg.VPred = base.VPred
+		cfg.FetchRate = base.FetchRate
+		if testPointHook != nil {
+			testPointHook(&cfg)
 		}
-	case "sampled":
-		headers = []string{"width", "depth", "rob", "ipc",
-			"cpi", "cpi_lo", "cpi_hi", "cpi_rel_err", "units"}
-		point = func(ctx context.Context, cfg uarch.Config) ([]string, error) {
-			return sampledPoint(ctx, soa, cfg, p, &tally)
-		}
-	case "model":
-		headers = []string{"width", "depth", "rob", "ipc", "avg_penalty",
-			"cpi_base", "cpi_bpred", "cpi_icache", "cpi_longd"}
-		_, _, robs := gridAxes()
-		set, err := core.NewModelSet(soa, ov, base, robs[len(robs)-1], p.warmup, p.insts)
-		if err != nil {
-			return err
-		}
-		point = func(_ context.Context, cfg uarch.Config) ([]string, error) {
-			return modelPoint(set, cfg)
-		}
-	default:
-		return fmt.Errorf("unknown mode %q", p.mode)
-	}
-	jobs := make([]harness.Job[[]string], len(points))
-	for i, cfg := range points {
-		jobs[i] = harness.Job[[]string]{
+		jobs[i] = harness.Job[service.BatchPoint]{
 			Name: cfg.Name,
-			Run:  func(ctx context.Context) ([]string, error) { return point(ctx, cfg) },
+			Run: func(ctx context.Context) (service.BatchPoint, error) {
+				pt := service.BatchPoint{Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB}
+				err := service.EvalPoint(ctx, a, cfg, &pt)
+				return pt, permanent(p.mode, err)
+			},
 		}
 	}
 
 	results, runErr := harness.Run(ctx, jobs, hopts)
 
 	// Fail-soft emission: every completed row, in grid order.
-	t := report.New("", headers...)
+	sink := cluster.NewCSVSink(stdout, p.mode, false)
 	for _, r := range results {
 		if r.Err == nil {
-			t.AddRow(r.Value...)
+			if err := sink.Emit(&cluster.Row{Point: r.Value}); err != nil {
+				return err
+			}
 		}
 	}
-	if err := t.FprintCSV(stdout); err != nil {
+	if err := sink.Finish(); err != nil {
 		return err
 	}
 	harness.Summarize(stderr, results)
-	tally.summarize(stderr)
+	summarizePaths(stderr, results)
 	if hits, misses := overlay.Shared.Stats(); hits+misses > 0 {
 		fmt.Fprintf(stderr, "sweep: overlay cache: %d hits, %d misses\n", hits, misses)
 	}
 	return runErr
-}
-
-// simPoint simulates one design point and renders its CSV row: IPC plus the
-// mean misprediction-penalty decomposition. Each point gets a fresh reader
-// over the shared packed trace; the SoA itself is read-only during
-// simulation, so concurrent points are safe.
-func simPoint(ctx context.Context, soa *trace.SoA, tr *trace.Trace, ov *overlay.Overlay, cfg uarch.Config, warmup uint64, tally *pathTally) ([]string, error) {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		RecordMispredicts: true,
-		RecordLoadLevels:  true,
-		WarmupInsts:       warmup,
-		Overlay:           ov,
-	})
-	if err != nil {
-		// Invalid configurations and watchdog trips are deterministic:
-		// re-running them wastes the retry budget.
-		if errors.Is(err, uarch.ErrBadConfig) || errors.Is(err, uarch.ErrWatchdog) {
-			return nil, harness.Permanent(err)
-		}
-		return nil, err
-	}
-	tally.note(res)
-	dec, err := core.NewDecomposer(tr, res)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	m := core.Mean(dec.DecomposeAll())
-	return []string{
-		fmt.Sprintf("%d", cfg.DispatchWidth), fmt.Sprintf("%d", cfg.FrontendDepth), fmt.Sprintf("%d", cfg.ROBSize),
-		fmt.Sprintf("%.3f", res.IPC()),
-		fmt.Sprintf("%.2f", m.Total),
-		fmt.Sprintf("%.2f", m.Frontend),
-		fmt.Sprintf("%.2f", m.BaseILP),
-		fmt.Sprintf("%.2f", m.FULatency),
-		fmt.Sprintf("%.2f", m.ShortDMiss),
-		fmt.Sprintf("%.2f", m.LongDMiss),
-	}, nil
-}
-
-// sampledPoint runs one design point under systematic sampling and renders
-// the CPI confidence-interval row. The warmup budget becomes the initial
-// functional skip; no overlay is involved (sampled runs track dependences
-// live by design).
-func sampledPoint(ctx context.Context, soa *trace.SoA, cfg uarch.Config, p sweepParams, tally *pathTally) ([]string, error) {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		SampleStartSkip: p.warmup,
-		SampleDetailed:  p.sampleDetailed,
-		SampleSkip:      p.sampleSkip,
-	})
-	if err != nil {
-		if errors.Is(err, uarch.ErrBadConfig) || errors.Is(err, uarch.ErrWatchdog) {
-			return nil, harness.Permanent(err)
-		}
-		return nil, err
-	}
-	tally.note(res)
-	st := res.Sample
-	if st == nil {
-		return nil, harness.Permanent(fmt.Errorf("%s: sampled run carries no sample statistics", cfg.Name))
-	}
-	return []string{
-		fmt.Sprintf("%d", cfg.DispatchWidth), fmt.Sprintf("%d", cfg.FrontendDepth), fmt.Sprintf("%d", cfg.ROBSize),
-		fmt.Sprintf("%.3f", res.IPC()),
-		fmt.Sprintf("%.4f", st.CPI.Mean),
-		fmt.Sprintf("%.4f", st.CPI.Lower),
-		fmt.Sprintf("%.4f", st.CPI.Upper),
-		fmt.Sprintf("%.4f", st.CPI.RelErr),
-		fmt.Sprintf("%d", st.Units),
-	}, nil
-}
-
-// modelPoint evaluates the analytic interval model at one design point: the
-// shared-characteristic model plus the overlay-derived functional profile,
-// no cycle-level simulation. Model errors are deterministic, so they never
-// consume the retry budget.
-func modelPoint(set *core.ModelSet, cfg uarch.Config) ([]string, error) {
-	m, prof, err := set.For(cfg)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	ivs, err := core.Segment(prof.Events, prof.Insts)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	var pen, n float64
-	for _, iv := range ivs {
-		if !iv.Final && iv.Kind == uarch.EvBranchMispredict {
-			pen += m.MispredictPenalty(iv.Len() - 1)
-			n++
-		}
-	}
-	if n > 0 {
-		pen /= n
-	}
-	insts := float64(pred.Insts)
-	ipc := 0.0
-	if cpi := pred.CPI(); cpi > 0 {
-		ipc = 1 / cpi
-	}
-	return []string{
-		fmt.Sprintf("%d", cfg.DispatchWidth), fmt.Sprintf("%d", cfg.FrontendDepth), fmt.Sprintf("%d", cfg.ROBSize),
-		fmt.Sprintf("%.3f", ipc),
-		fmt.Sprintf("%.2f", pen),
-		fmt.Sprintf("%.3f", pred.Base/insts),
-		fmt.Sprintf("%.3f", pred.Bpred/insts),
-		fmt.Sprintf("%.3f", pred.ICache/insts),
-		fmt.Sprintf("%.3f", pred.LongData/insts),
-	}, nil
 }

@@ -122,14 +122,15 @@ func TestModelModeBrokenPointFailSoft(t *testing.T) {
 	}
 	defer func() { testPointHook = nil }()
 	var out, errb bytes.Buffer
-	if code := realMain(sweepArgs("-mode", "model"), &out, &errb); code != 1 {
+	if code := realMain(sweepArgs("-mode", "model", "-retries", "2"), &out, &errb); code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
 	}
 	if lines := strings.Count(out.String(), "\n"); lines != 1+26 {
 		t.Fatalf("CSV has %d lines, want 27:\n%s", lines, out.String())
 	}
-	if !strings.Contains(errb.String(), "FAIL w4-d7-r128") {
-		t.Fatalf("stderr missing failure: %q", errb.String())
+	// Model errors are deterministic: retrying them wastes the budget.
+	if !strings.Contains(errb.String(), "FAIL w4-d7-r128 (attempts 1)") {
+		t.Fatalf("stderr missing a single-attempt failure: %q", errb.String())
 	}
 }
 
@@ -209,7 +210,7 @@ func TestBrokenPointFailSoft(t *testing.T) {
 	defer func() { testPointHook = nil }()
 
 	var out, errb bytes.Buffer
-	code := realMain(sweepArgs("-j", "4"), &out, &errb)
+	code := realMain(sweepArgs("-j", "4", "-retries", "2"), &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
 	}
@@ -225,6 +226,10 @@ func TestBrokenPointFailSoft(t *testing.T) {
 	se := errb.String()
 	if !strings.Contains(se, "FAIL w4-d7-r128") || !strings.Contains(se, "invalid configuration") {
 		t.Fatalf("stderr missing failure summary: %q", se)
+	}
+	// An invalid configuration is permanent: never retried.
+	if !strings.Contains(se, "FAIL w4-d7-r128 (attempts 1)") {
+		t.Fatalf("invalid configuration was retried: %q", se)
 	}
 }
 
@@ -318,7 +323,12 @@ func parseF(t *testing.T, s string) float64 {
 
 // TestEndpointsModeMatchesInProcess is the distributed acceptance gate at
 // the command level: `sweep -endpoints` sharded across two daemons must
-// write byte-identical CSV to the in-process sweep of the same grid.
+// write byte-identical CSV to the in-process sweep of the same grid, in sim
+// and model mode, and with predictor, value-predictor and fetch-rate presets.
+// Both paths evaluate points with service.EvalPoint and render them with
+// cluster.CSVSink, so what this guards is the artifact resolution each path
+// does on its own: the presets, the workload's value stream, and the model
+// set sized to the grid's largest ROB.
 func TestEndpointsModeMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid distributed sweep skipped in -short mode")
@@ -338,20 +348,42 @@ func TestEndpointsModeMatchesInProcess(t *testing.T) {
 	}
 	a, b := boot(), boot()
 
-	var local, localErr bytes.Buffer
-	if code := realMain(sweepArgs("-j", "4"), &local, &localErr); code != 0 {
-		t.Fatalf("in-process exit = %d (stderr: %s)", code, localErr.String())
+	presets := []string{"-pred", "tage", "-vpred", "stride", "-fetchrate", "0.5"}
+	local := make(map[string]string)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"sim", nil},
+		{"model", []string{"-mode", "model"}},
+		{"presets-sim", presets},
+		{"presets-model", append([]string{"-mode", "model"}, presets...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := realMain(append(sweepArgs(tc.args...), "-j", "4"), &out, &errb); code != 0 {
+				t.Fatalf("in-process exit = %d (stderr: %s)", code, errb.String())
+			}
+			var dist, distErr bytes.Buffer
+			if code := realMain(append(sweepArgs(tc.args...), "-endpoints", a.URL+","+b.URL), &dist, &distErr); code != 0 {
+				t.Fatalf("distributed exit = %d (stderr: %s)", code, distErr.String())
+			}
+			if out.String() != dist.String() {
+				t.Errorf("distributed CSV differs from in-process:\n--- local ---\n%s--- distributed ---\n%s",
+					out.String(), dist.String())
+			}
+			if !strings.Contains(distErr.String(), "cluster: 27 points (27 ok, 0 failed)") {
+				t.Errorf("stderr missing fleet summary: %q", distErr.String())
+			}
+			local[tc.name] = out.String()
+		})
 	}
-	var dist, distErr bytes.Buffer
-	if code := realMain(sweepArgs("-endpoints", a.URL+","+b.URL), &dist, &distErr); code != 0 {
-		t.Fatalf("distributed exit = %d (stderr: %s)", code, distErr.String())
-	}
-	if local.String() != dist.String() {
-		t.Errorf("distributed CSV differs from in-process:\n--- local ---\n%s--- distributed ---\n%s",
-			local.String(), dist.String())
-	}
-	if !strings.Contains(distErr.String(), "cluster: 27 points (27 ok, 0 failed)") {
-		t.Errorf("stderr missing fleet summary: %q", distErr.String())
+	// The presets must reach both paths: matching CSVs that equal the
+	// preset-free ones would show only that both ignored them.
+	for _, mode := range []string{"sim", "model"} {
+		if local["presets-"+mode] == local[mode] {
+			t.Errorf("%s mode: -pred tage -vpred stride -fetchrate 0.5 left the CSV unchanged", mode)
+		}
 	}
 }
 

@@ -56,25 +56,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ivs, err := core.Segment(prof.Events, prof.Insts)
+		pred, err := model.PredictCPI(prof)
 		if err != nil {
 			log.Fatal(err)
-		}
-		var modelPen, n float64
-		for _, iv := range ivs {
-			if !iv.Final && iv.Kind == uarch.EvBranchMispredict {
-				modelPen += model.MispredictPenalty(iv.Len() - 1)
-				n++
-			}
-		}
-		if n > 0 {
-			modelPen /= n
 		}
 
 		measured := res.AvgMispredictPenalty()
 		t.AddRow(fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%.1f", measured),
-			fmt.Sprintf("%.1f", modelPen),
+			fmt.Sprintf("%.1f", pred.AvgMispredictPenalty()),
 			fmt.Sprintf("%.1f", measured-float64(depth)),
 		)
 	}

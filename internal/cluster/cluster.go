@@ -52,7 +52,9 @@ type Options struct {
 	// BatchSize is the number of design points per dispatched shard; 0
 	// picks a default sized so each endpoint sees several shards.
 	BatchSize int
-	// PointTimeout bounds each design point on the daemon (0 = none).
+	// PointTimeout bounds each design point on the daemon. 0 sends no
+	// deadline, so the daemon applies its own default (intervalsimd
+	// -timeout, 60s unless set).
 	PointTimeout time.Duration
 	// Retries is how many times one runner re-dispatches a batch after a
 	// transport error before handing it back to the fleet.

@@ -335,6 +335,56 @@ func TestRunFailSoftPoints(t *testing.T) {
 	}
 }
 
+// TestRunZeroPointTimeoutUsesDaemonDefault pins what PointTimeout 0 means:
+// the coordinator sends no deadline, so the daemon's own default applies.
+// Against a daemon whose default is 1ms every 100K-instruction point times
+// out; an explicit minute lets the same sweep finish.
+func TestRunZeroPointTimeoutUsesDaemonDefault(t *testing.T) {
+	a := bootDaemon(t, service.Options{Workers: 2, DefaultTimeout: time.Millisecond}, nil)
+
+	run := func(timeout time.Duration) (*RunStats, []Row, error) {
+		var rows []Row
+		rs, err := Run(context.Background(), Options{
+			Endpoints:    []string{a.URL},
+			Benches:      []string{"gzip"},
+			Widths:       []int{2, 4},
+			Depths:       []int{3},
+			ROBs:         []int{64},
+			Insts:        100_000,
+			Warmup:       1_000,
+			PointTimeout: timeout,
+			BatchSize:    1,
+			StealAfter:   -1,
+			KeepGoing:    true,
+			Logf:         t.Logf,
+		}, func(r *Row) error {
+			rows = append(rows, *r)
+			return nil
+		})
+		return rs, rows, err
+	}
+
+	rs, rows, err := run(0)
+	if err == nil || rs.OK != 0 || rs.Failed != 2 || len(rows) != 2 {
+		t.Fatalf("PointTimeout 0: stats = %+v, %d rows, err = %v; want every point failed under the daemon's 1ms default", rs, len(rows), err)
+	}
+	for _, r := range rows {
+		if r.Point.Outcome != "timeout" {
+			t.Errorf("PointTimeout 0: point %d outcome %q (%s), want timeout", r.Point.Seq, r.Point.Outcome, r.Point.Error)
+		}
+	}
+
+	rs, rows, err = run(time.Minute)
+	if err != nil || rs.OK != 2 || rs.Failed != 0 || len(rows) != 2 {
+		t.Fatalf("PointTimeout 1m: stats = %+v, %d rows, err = %v; want both points ok", rs, len(rows), err)
+	}
+	for _, r := range rows {
+		if r.Point.Error != "" || r.Point.IPC <= 0 {
+			t.Errorf("PointTimeout 1m: point %d = %+v", r.Point.Seq, r.Point)
+		}
+	}
+}
+
 // TestRunNoHealthyEndpoints: a fleet where nothing answers /healthz is a
 // fast configuration error, not a hang.
 func TestRunNoHealthyEndpoints(t *testing.T) {

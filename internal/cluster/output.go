@@ -9,9 +9,7 @@ import (
 	"intervalsim/internal/service"
 )
 
-// simHeaders / modelHeaders / sampledHeaders mirror cmd/sweep's CSV columns
-// exactly; byte parity between a distributed and a single-process sweep
-// depends on it.
+// The CSV columns of each sweep engine.
 var (
 	simHeaders = []string{"width", "depth", "rob", "ipc", "avg_penalty",
 		"penalty_frontend", "penalty_drain", "penalty_fu", "penalty_shortd", "penalty_longd"}
@@ -21,11 +19,12 @@ var (
 		"cpi", "cpi_lo", "cpi_hi", "cpi_rel_err", "units"}
 )
 
-// CSVSink renders merged rows as the same CSV cmd/sweep emits — identical
-// headers and format verbs, so a single-benchmark distributed sweep is
-// byte-identical to the single-process tool. Sweeping multiple benchmarks
-// prepends a "bench" column. Failed points produce no row (cmd/sweep's
-// fail-soft convention: errors go to the log and the exit code).
+// CSVSink is the one renderer of sweep CSV: in-process cmd/sweep, sweep
+// -endpoints and sweepctl all write their rows through it, so a
+// single-benchmark sweep has the same bytes whichever path computed it.
+// Sweeping multiple benchmarks prepends a "bench" column. Failed points
+// produce no row (the fail-soft convention: errors go to the log and the
+// exit code).
 type CSVSink struct {
 	w           io.Writer
 	mode        string
@@ -103,8 +102,8 @@ func (s *CSVSink) Emit(row *Row) error {
 	return err
 }
 
-// Finish writes the header if no row ever did (an all-failed sweep still
-// emits a well-formed, empty CSV, as cmd/sweep does).
+// Finish writes the header if no row ever did, so an all-failed sweep still
+// emits a well-formed, empty CSV.
 func (s *CSVSink) Finish() error {
 	if s.wroteHeader {
 		return nil

@@ -146,17 +146,27 @@ func (m *Model) MispredictPenalty(sinceLast uint64) float64 {
 // CPIBreakdown is the model's cycle stack, in total cycles. The paper's
 // equation: C = N/Deff + Σ penalties.
 type CPIBreakdown struct {
-	Insts    uint64
-	Base     float64 // N / effective dispatch rate
-	Bpred    float64 // Σ misprediction penalties
-	ICache   float64 // Σ I-cache miss delays
-	LongData float64 // Σ serialized long D-miss delays (MLP-aware)
-	VMisspec float64 // Σ value-misspeculation flush penalties
+	Insts       uint64
+	Base        float64 // N / effective dispatch rate
+	Bpred       float64 // Σ misprediction penalties
+	Mispredicts uint64  // branch mispredictions charged to Bpred
+	ICache      float64 // Σ I-cache miss delays
+	LongData    float64 // Σ serialized long D-miss delays (MLP-aware)
+	VMisspec    float64 // Σ value-misspeculation flush penalties
 }
 
 // Total returns the predicted cycle count.
 func (b CPIBreakdown) Total() float64 {
 	return b.Base + b.Bpred + b.ICache + b.LongData + b.VMisspec
+}
+
+// AvgMispredictPenalty returns the model's mean misprediction penalty,
+// Bpred over Mispredicts, or 0 when no misprediction was charged.
+func (b CPIBreakdown) AvgMispredictPenalty() float64 {
+	if b.Mispredicts == 0 {
+		return 0
+	}
+	return b.Bpred / float64(b.Mispredicts)
 }
 
 // CPI returns the predicted cycles per instruction.
@@ -222,6 +232,7 @@ func (m *Model) PredictCPI(p *Profile) (CPIBreakdown, error) {
 		switch iv.Kind {
 		case uarch.EvBranchMispredict:
 			b.Bpred += m.MispredictPenalty(iv.Len() - 1)
+			b.Mispredicts++
 		case uarch.EvValueMisspec:
 			// A confident-wrong value prediction flushes at dispatch and
 			// resumes fetch when the misspeculated instruction executes —

@@ -8,6 +8,7 @@ import (
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
+	"intervalsim/internal/vpred"
 	"intervalsim/internal/workload"
 )
 
@@ -216,4 +217,75 @@ func TestModelSetConcurrentFor(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAvgMispredictPenaltyMatchesIntervalMean pins CPIBreakdown's mean
+// penalty to its reference definition: the model's penalty averaged over
+// every non-final branch-mispredict interval of the profile. PredictCPI
+// charges exactly those penalties to Bpred, in the same order, so the two
+// must agree bit for bit, over the suite, with and without value
+// speculation and fetch throttling, at the grid's corners.
+func TestAvgMispredictPenaltyMatchesIntervalMean(t *testing.T) {
+	if got := (CPIBreakdown{}).AvgMispredictPenalty(); got != 0 {
+		t.Fatalf("empty breakdown mean penalty = %v, want 0", got)
+	}
+	const insts, warmup = 40_000, 5_000
+	for _, wc := range workload.Suite() {
+		soa, err := trace.PackReader(workload.MustNew(wc, insts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []bool{false, true} {
+			base := uarch.Baseline()
+			if spec {
+				vp, _ := vpred.Preset("stride")
+				vp.Stream = wc.ValueStream()
+				base.VPred = &vp
+				base.FetchRate = 0.5
+			}
+			ov, err := overlay.ComputeSpec(soa, base.Pred, base.Mem, base.VPred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := NewModelSet(soa, ov, base, 256, warmup, insts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, width := range []int{2, 8} {
+				for _, depth := range []int{3, 11} {
+					for _, rob := range []int{64, 256} {
+						cfg := modelSetPoint(width, depth, rob)
+						cfg.VPred, cfg.FetchRate = base.VPred, base.FetchRate
+						m, prof, err := set.For(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pred, err := m.PredictCPI(prof)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ivs, err := Segment(prof.Events, prof.Insts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var pen, n float64
+						for _, iv := range ivs {
+							if !iv.Final && iv.Kind == uarch.EvBranchMispredict {
+								pen += m.MispredictPenalty(iv.Len() - 1)
+								n++
+							}
+						}
+						if n == 0 {
+							t.Fatalf("%s spec=%v: no mispredictions to average", wc.Name, spec)
+						}
+						pen /= n
+						if got := pred.AvgMispredictPenalty(); got != pen || float64(pred.Mispredicts) != n {
+							t.Errorf("%s spec=%v w%d d%d r%d: AvgMispredictPenalty %v over %d, reference %v over %v",
+								wc.Name, spec, width, depth, rob, got, pred.Mispredicts, pen, n)
+						}
+					}
+				}
+			}
+		}
+	}
 }

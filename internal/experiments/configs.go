@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"intervalsim/internal/harness"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
@@ -42,7 +41,3 @@ func Point(width, depth, rob int) uarch.Config {
 func SharedTrace(wc workload.Config, insts int) (*trace.Trace, *trace.SoA, error) {
 	return DefaultTraceCache.Shared(wc, insts)
 }
-
-// TraceCacheCounters returns the shared trace memo's counter snapshot, for
-// observability surfaces like intervalsimd's /metrics.
-func TraceCacheCounters() harness.MemoStats { return DefaultTraceCache.Counters() }

@@ -139,27 +139,12 @@ func E9(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		// Model's average penalty over the same event stream.
-		ivs, err := core.Segment(prof.Events, prof.Insts)
-		if err != nil {
-			return err
-		}
-		var modelPen, n float64
-		for _, iv := range ivs {
-			if !iv.Final && iv.Kind == uarch.EvBranchMispredict {
-				modelPen += m.MispredictPenalty(iv.Len() - 1)
-				n++
-			}
-		}
-		if n > 0 {
-			modelPen /= n
-		}
 		t.AddRow(wc.Name,
 			fmt.Sprintf("%.2f", res.CPI()),
 			fmt.Sprintf("%.2f", pred.CPI()),
 			fmt.Sprintf("%+.1f", relErr*100),
 			fmt.Sprintf("%.1f", res.AvgMispredictPenalty()),
-			fmt.Sprintf("%.1f", modelPen),
+			fmt.Sprintf("%.1f", pred.AvgMispredictPenalty()),
 		)
 	}
 	return t.Fprint(w)

@@ -81,15 +81,6 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// Disarm zeroes all probabilities: subsequent operations pass through
-// untouched. Tests use it to stop the fault storm before verifying
-// recovery.
-func (in *Injector) Disarm() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.cfg = Config{}
-}
-
 // writeDecision is the fate of one fs write of n bytes.
 type writeDecision struct {
 	fail bool

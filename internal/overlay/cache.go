@@ -39,16 +39,6 @@ func (c *Cache) Get(soa *trace.SoA, pred bpred.Config, mem icache.HierarchyConfi
 	})
 }
 
-// GetVia is Get with a caller-supplied producer: on a miss the cache invokes
-// fill instead of calling Compute directly, which lets the service layer try
-// a peer cache fill before falling back to local computation. fill must
-// return an overlay for exactly (soa, pred, mem); concurrent callers with
-// the same key share one invocation.
-func (c *Cache) GetVia(soa *trace.SoA, pred bpred.Config, mem icache.HierarchyConfig, fill func() (*Overlay, error)) (*Overlay, error) {
-	k := key{soa: soa, specFP: SpecFingerprint(pred, mem)}
-	return c.memo.Get(k, fill)
-}
-
 // GetSpec is Get extended with an optional value-predictor configuration.
 // A nil vp is exactly Get — same key, same pre-pass — so vpred-less callers
 // share entries with code that has never heard of value prediction.
@@ -59,8 +49,11 @@ func (c *Cache) GetSpec(soa *trace.SoA, pred bpred.Config, mem icache.HierarchyC
 	})
 }
 
-// GetSpecVia is GetVia keyed on the full speculation configuration
-// including the optional value predictor.
+// GetSpecVia is GetSpec with a caller-supplied producer: on a miss the
+// cache invokes fill instead of calling ComputeSpec directly, which lets the
+// service layer try a peer cache fill before falling back to local
+// computation. fill must return an overlay for exactly (soa, pred, mem, vp);
+// concurrent callers with the same key share one invocation.
 func (c *Cache) GetSpecVia(soa *trace.SoA, pred bpred.Config, mem icache.HierarchyConfig, vp *vpred.Config, fill func() (*Overlay, error)) (*Overlay, error) {
 	k := key{soa: soa, specFP: SpecFingerprintV(pred, mem, vp)}
 	return c.memo.Get(k, fill)

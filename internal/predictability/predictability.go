@@ -63,15 +63,6 @@ func (t Taxon) String() string {
 	}
 }
 
-// Taxa returns every taxon in report order.
-func Taxa() []Taxon {
-	out := make([]Taxon, taxonCount)
-	for i := range out {
-		out[i] = Taxon(i)
-	}
-	return out
-}
-
 // Options configures a characterization pass. Zero-value thresholds and
 // predictors are replaced with defaults: the subject defaults to the
 // tournament preset (the uarch baseline predictor), the reference to a
@@ -144,9 +135,6 @@ func (b *BranchStats) SubjectAccuracy() float64 { return acc(b.SubjectMiss, b.Ex
 
 // RefAccuracy returns the reference predictor's direction accuracy.
 func (b *BranchStats) RefAccuracy() float64 { return acc(b.RefMiss, b.Execs) }
-
-// CheapAccuracy returns the history-less predictor's direction accuracy.
-func (b *BranchStats) CheapAccuracy() float64 { return acc(b.CheapMiss, b.Execs) }
 
 func acc(miss, execs uint64) float64 {
 	if execs == 0 {

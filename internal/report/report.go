@@ -1,6 +1,6 @@
-// Package report renders experiment results as fixed-width text tables and
-// CSV, so every figure and table the harness regenerates is produced through
-// one tested formatting path.
+// Package report renders experiment results as fixed-width text tables, so
+// every figure and table the harness regenerates is produced through one
+// tested formatting path.
 package report
 
 import (
@@ -25,19 +25,6 @@ func New(title string, headers ...string) *Table {
 // table.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddRowf appends a row of formatted cells: each argument is rendered with
-// the matching verb in verbs (e.g. "%s", "%.1f", "%d").
-func (t *Table) AddRowf(verbs []string, args ...interface{}) {
-	if len(verbs) != len(args) {
-		panic("report: verbs/args length mismatch")
-	}
-	row := make([]string, len(args))
-	for i, a := range args {
-		row[i] = fmt.Sprintf(verbs[i], a)
-	}
-	t.Rows = append(t.Rows, row)
 }
 
 // columns returns the width of each column.
@@ -120,34 +107,4 @@ func pad(s string, width int, right bool) string {
 		return fill + s
 	}
 	return s + fill
-}
-
-// FprintCSV writes the table as RFC-4180-ish CSV (quotes only when needed).
-func (t *Table) FprintCSV(w io.Writer) error {
-	write := func(cells []string) error {
-		out := make([]string, len(cells))
-		for i, c := range cells {
-			out[i] = csvEscape(c)
-		}
-		_, err := fmt.Fprintln(w, strings.Join(out, ","))
-		return err
-	}
-	if len(t.Headers) > 0 {
-		if err := write(t.Headers); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.Rows {
-		if err := write(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
 }

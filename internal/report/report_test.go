@@ -62,40 +62,3 @@ func TestRaggedRows(t *testing.T) {
 		t.Error("extra cell dropped")
 	}
 }
-
-func TestAddRowf(t *testing.T) {
-	tab := New("", "n", "v")
-	tab.AddRowf([]string{"%s", "%.2f"}, "pi", 3.14159)
-	if tab.Rows[0][1] != "3.14" {
-		t.Errorf("formatted cell = %q", tab.Rows[0][1])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched verbs did not panic")
-		}
-	}()
-	tab.AddRowf([]string{"%s"}, "a", "b")
-}
-
-func TestFprintCSV(t *testing.T) {
-	tab := New("t", "a", "b")
-	tab.AddRow(`quo"te`, "with,comma")
-	tab.AddRow("plain", "line\nbreak")
-	var sb strings.Builder
-	if err := tab.FprintCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("csv header = %q", out)
-	}
-	if !strings.Contains(out, `"quo""te"`) {
-		t.Errorf("quote escaping wrong: %q", out)
-	}
-	if !strings.Contains(out, `"with,comma"`) {
-		t.Errorf("comma quoting wrong: %q", out)
-	}
-	if !strings.Contains(out, "\"line\nbreak\"") {
-		t.Errorf("newline quoting wrong: %q", out)
-	}
-}

@@ -308,7 +308,7 @@ type ModelResult struct {
 
 // SweepRequest asks for a grid of design points over one workload, streamed
 // back as NDJSON (one SweepPoint per line, a SweepTrailer last). Empty axes
-// default to the canonical cmd/sweep grid.
+// default to DefaultAxes, cmd/sweep's grid.
 type SweepRequest struct {
 	Benchmark string           `json:"benchmark,omitempty"`
 	Workload  *workload.Config `json:"workload,omitempty"`

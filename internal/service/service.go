@@ -311,7 +311,7 @@ func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error)
 	if err != nil {
 		return nil, err
 	}
-	pred, pen, err := modelPoint(set, in.cfg)
+	pred, err := modelPoint(set, in.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +326,7 @@ func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error)
 		CPIICache:            pred.ICache / insts,
 		CPILongData:          pred.LongData / insts,
 		CPIVMisspec:          pred.VMisspec / insts,
-		AvgMispredictPenalty: pen,
+		AvgMispredictPenalty: pred.AvgMispredictPenalty(),
 	}
 	if out.CPI > 0 {
 		out.IPC = 1 / out.CPI
@@ -362,33 +362,14 @@ func (s *Server) modelSet(ov *overlay.Overlay, in simInputs, maxROB int) (*core.
 	})
 }
 
-// modelPoint evaluates the analytic model at cfg: the predicted cycle stack
-// and the model's mean misprediction penalty over the profiled interval
-// structure (the same aggregation cmd/sweep's model mode reports).
-func modelPoint(set *core.ModelSet, cfg uarch.Config) (core.CPIBreakdown, float64, error) {
+// modelPoint evaluates the analytic model at cfg: the predicted cycle stack,
+// which also carries the model's mean misprediction penalty.
+func modelPoint(set *core.ModelSet, cfg uarch.Config) (core.CPIBreakdown, error) {
 	m, prof, err := set.For(cfg)
 	if err != nil {
-		return core.CPIBreakdown{}, 0, err
+		return core.CPIBreakdown{}, err
 	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return core.CPIBreakdown{}, 0, err
-	}
-	ivs, err := core.Segment(prof.Events, prof.Insts)
-	if err != nil {
-		return core.CPIBreakdown{}, 0, err
-	}
-	var pen, n float64
-	for _, iv := range ivs {
-		if !iv.Final && iv.Kind == uarch.EvBranchMispredict {
-			pen += m.MispredictPenalty(iv.Len() - 1)
-			n++
-		}
-	}
-	if n > 0 {
-		pen /= n
-	}
-	return pred, pen, nil
+	return m.PredictCPI(prof)
 }
 
 // ---- handlers ----

@@ -15,11 +15,13 @@ import (
 	"intervalsim/internal/uarch"
 )
 
-// One executor runs the design points of every sweep endpoint. /v1/sweep and
-// /v1/batch stream finished points as NDJSON; /v1/sweepjobs commits each one
-// to its durable journal. All three resolve the shared artifacts with
-// artifacts, evaluate a point with evalPoint and submit points with
-// runPoints. They differ only in how they consume a finished point.
+// One evaluator computes every sweep point: EvalPoint. The daemon's three
+// sweep endpoints resolve the shared artifacts with artifacts and submit
+// points with runPoints; /v1/sweep and /v1/batch stream finished points as
+// NDJSON, and /v1/sweepjobs commits each one to its durable journal.
+// In-process cmd/sweep builds the same SweepArtifacts itself, schedules
+// points on its own worker pool and calls EvalPoint, so a point means the
+// same numbers wherever it runs.
 
 // sweepInputs is a resolved sweep or batch request: the inputs every point
 // shares, the engine, and the design points.
@@ -63,16 +65,38 @@ func (s *Server) resolvePoints(base SimulateRequest, in *sweepInputs, npoints in
 	return nil
 }
 
+// DefaultAxes returns the design-space axes a sweep covers when it names
+// none: dispatch widths, frontend depths and ROB sizes, in output order.
+// /v1/sweep, /v1/sweepjobs and cmd/sweep share them.
+func DefaultAxes() (widths, depths, robs []int) {
+	return []int{2, 4, 8}, []int{3, 7, 11}, []int{64, 128, 256}
+}
+
+// Grid enumerates the design points of the axes in canonical (width, depth,
+// ROB) order, the order sweep CSV rows are written in. Seq is the index.
+func Grid(widths, depths, robs []int) []BatchPointSpec {
+	var out []BatchPointSpec
+	for _, width := range widths {
+		for _, depth := range depths {
+			for _, rob := range robs {
+				out = append(out, BatchPointSpec{Seq: len(out), Width: width, Depth: depth, ROB: rob})
+			}
+		}
+	}
+	return out
+}
+
 func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
 	in := sweepInputs{widths: req.Widths, depths: req.Depths, robs: req.ROBs, pred: req.Pred, vpred: req.VPred}
+	widths, depths, robs := DefaultAxes()
 	if len(in.widths) == 0 {
-		in.widths = []int{2, 4, 8}
+		in.widths = widths
 	}
 	if len(in.depths) == 0 {
-		in.depths = []int{3, 7, 11}
+		in.depths = depths
 	}
 	if len(in.robs) == 0 {
-		in.robs = []int{64, 128, 256}
+		in.robs = robs
 	}
 	for _, axis := range []struct {
 		name  string
@@ -99,14 +123,7 @@ func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
 	if err != nil {
 		return sweepInputs{}, err
 	}
-	// Canonical grid order; Seq is the canonical index.
-	for _, width := range in.widths {
-		for _, depth := range in.depths {
-			for _, rob := range in.robs {
-				in.points = append(in.points, BatchPointSpec{Seq: len(in.points), Width: width, Depth: depth, ROB: rob})
-			}
-		}
-	}
+	in.points = Grid(in.widths, in.depths, in.robs)
 	return in, nil
 }
 
@@ -127,12 +144,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.streamPoints(w, r, start, &in, "sweep", func(pt BatchPoint) any { return pt.sweepPoint() })
 }
 
-// sweepArtifacts are the inputs every point of one sweep reads.
-type sweepArtifacts struct {
-	tr  *trace.Trace     // AoS view, for the penalty decomposition
-	soa *trace.SoA       // packed trace every point simulates
-	ov  *overlay.Overlay // nil in sampled mode
-	set *core.ModelSet   // model mode only
+// SweepArtifacts are what every point of one sweep reads: the engine
+// settings next to the shared packed trace, overlay and model set.
+type SweepArtifacts struct {
+	Mode           string // "sim", "sampled" or "model"
+	Decompose      bool   // sim mode: add the interval penalty decomposition
+	Warmup         uint64 // warmup instructions; sampled mode's initial functional skip
+	SampleDetailed uint64 // sampled mode: instructions per detailed phase
+	SampleSkip     uint64 // sampled mode: instructions warmed between phases
+
+	Trace   *trace.Trace     // AoS view, for the penalty decomposition
+	SoA     *trace.SoA       // packed trace every point simulates
+	Overlay *overlay.Overlay // nil in sampled mode
+	Models  *core.ModelSet   // model mode only, sized to the largest ROB
 }
 
 // artifacts resolves a sweep's shared artifacts once per sweep, and across
@@ -142,16 +166,20 @@ type sweepArtifacts struct {
 // design (precomputed dependences do not apply to fast-forwarded runs), so
 // that mode never computes one. Model mode takes the ModelSet sized to the
 // sweep's largest ROB from the server's model-set memo.
-func (s *Server) artifacts(in *sweepInputs) (*sweepArtifacts, error) {
+func (s *Server) artifacts(in *sweepInputs) (*SweepArtifacts, error) {
 	tr, soa, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
 		return nil, err
 	}
-	a := &sweepArtifacts{tr: tr, soa: soa}
+	a := &SweepArtifacts{
+		Mode: in.mode, Decompose: in.decompose, Warmup: in.warmup,
+		SampleDetailed: in.sampleDetailed, SampleSkip: in.sampleSkip,
+		Trace: tr, SoA: soa,
+	}
 	if in.mode == "sampled" {
 		return a, nil
 	}
-	if a.ov, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
+	if a.Overlay, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
 		return nil, err
 	}
 	if in.mode == "model" {
@@ -159,27 +187,30 @@ func (s *Server) artifacts(in *sweepInputs) (*sweepArtifacts, error) {
 		for _, sp := range in.points {
 			maxROB = max(maxROB, sp.ROB)
 		}
-		if a.set, err = s.modelSet(a.ov, in.simInputs, maxROB); err != nil {
+		if a.Models, err = s.modelSet(a.Overlay, in.simInputs, maxROB); err != nil {
 			return nil, err
 		}
 	}
 	return a, nil
 }
 
-// evalPoint evaluates one design point into pt. Sim mode replays the shared
-// overlay and, when asked, adds the interval penalty decomposition: the
-// computation behind cmd/sweep's sim-mode CSV row, so a distributed sweep
-// merges to the same bytes as a single-process one. Sampled mode reports the
-// ratio-estimator CPI with its confidence interval; the warmup budget becomes
-// the initial functional skip. Model mode evaluates the analytic model.
-func evalPoint(ctx context.Context, in *sweepInputs, a *sweepArtifacts, cfg uarch.Config, pt *BatchPoint) error {
-	if in.mode == "model" {
-		pred, pen, err := modelPoint(a.set, cfg)
+// EvalPoint evaluates one design point of a sweep into pt: the computation
+// behind every sweep CSV row and sweep endpoint line, in-process or on a
+// daemon. Sim mode replays the shared overlay and, with Decompose, adds the
+// interval penalty decomposition. Sampled mode reports the ratio-estimator
+// CPI with its confidence interval; the warmup budget becomes the initial
+// functional skip. Model mode evaluates the analytic model. cfg must carry
+// the predictor and cache geometry the overlay was computed for, or the
+// point falls back to live simulation (recorded in pt.Fallback). EvalPoint
+// fills only measurement fields; the caller owns the point's identity.
+func EvalPoint(ctx context.Context, a *SweepArtifacts, cfg uarch.Config, pt *BatchPoint) error {
+	if a.Mode == "model" {
+		pred, err := modelPoint(a.Models, cfg)
 		if err != nil {
 			return err
 		}
 		insts := float64(pred.Insts)
-		pt.AvgPenalty = pen
+		pt.AvgPenalty = pred.AvgMispredictPenalty()
 		pt.CPIBase = pred.Base / insts
 		pt.CPIBpred = pred.Bpred / insts
 		pt.CPIICache = pred.ICache / insts
@@ -193,18 +224,18 @@ func evalPoint(ctx context.Context, in *sweepInputs, a *sweepArtifacts, cfg uarc
 	}
 	opts := uarch.Options{
 		RecordMispredicts: true,
-		RecordLoadLevels:  in.decompose,
-		WarmupInsts:       in.warmup,
-		Overlay:           a.ov,
+		RecordLoadLevels:  a.Decompose,
+		WarmupInsts:       a.Warmup,
+		Overlay:           a.Overlay,
 	}
-	if in.mode == "sampled" {
+	if a.Mode == "sampled" {
 		opts = uarch.Options{
-			SampleStartSkip: in.warmup,
-			SampleDetailed:  in.sampleDetailed,
-			SampleSkip:      in.sampleSkip,
+			SampleStartSkip: a.Warmup,
+			SampleDetailed:  a.SampleDetailed,
+			SampleSkip:      a.SampleSkip,
 		}
 	}
-	res, err := uarch.RunContext(ctx, a.soa.Reader(), cfg, opts)
+	res, err := uarch.RunContext(ctx, a.SoA.Reader(), cfg, opts)
 	if err != nil {
 		return err
 	}
@@ -212,7 +243,7 @@ func evalPoint(ctx context.Context, in *sweepInputs, a *sweepArtifacts, cfg uarc
 	pt.Cycles = res.Cycles
 	pt.Path = res.Path
 	pt.Fallback = res.Fallback
-	if in.mode == "sampled" {
+	if a.Mode == "sampled" {
 		st := res.Sample
 		if st == nil {
 			return fmt.Errorf("%s: sampled run carries no sample statistics", cfg.Name)
@@ -225,10 +256,10 @@ func evalPoint(ctx context.Context, in *sweepInputs, a *sweepArtifacts, cfg uarc
 		return nil
 	}
 	pt.AvgPenalty = res.AvgMispredictPenalty()
-	if !in.decompose {
+	if !a.Decompose {
 		return nil
 	}
-	dec, err := core.NewDecomposer(a.tr, res)
+	dec, err := core.NewDecomposer(a.Trace, res)
 	if err != nil {
 		return err
 	}
@@ -249,7 +280,7 @@ func evalPoint(ctx context.Context, in *sweepInputs, a *sweepArtifacts, cfg uarc
 // cancels running ones, freeing the worker slots. finish sees every point
 // exactly once, possibly concurrently: its result, or an error line when it
 // failed or was never admitted. runPoints returns after the last finish.
-func (s *Server) runPoints(parent context.Context, tenant string, priority int, in *sweepInputs, a *sweepArtifacts, kind string, finish func(BatchPoint)) {
+func (s *Server) runPoints(parent context.Context, tenant string, priority int, in *sweepInputs, a *SweepArtifacts, kind string, finish func(BatchPoint)) {
 	var wg sync.WaitGroup
 	wg.Add(len(in.points))
 	for _, sp := range in.points {
@@ -273,7 +304,7 @@ func (s *Server) runPoints(parent context.Context, tenant string, priority int, 
 			tenant:   tenant,
 			parent:   parent,
 			run: func(ctx context.Context) error {
-				return evalPoint(ctx, in, a, cfg, &pt)
+				return EvalPoint(ctx, a, cfg, &pt)
 			},
 			finish: func(err error, d time.Duration) {
 				outcome := classify(err)
