@@ -245,24 +245,6 @@ func BenchmarkTracePack(b *testing.B) {
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
-// BenchmarkFunctionalProfile measures the fast model-input path.
-func BenchmarkFunctionalProfile(b *testing.B) {
-	wc, _ := workload.SuiteConfig("crafty")
-	tr, err := trace.ReadAll(workload.MustNew(wc, 200_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := uarch.Baseline()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.FunctionalProfile(tr.Reader(), cfg, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
-}
-
 func BenchmarkGenerator(b *testing.B) {
 	wc, _ := workload.SuiteConfig("gcc")
 	b.ReportAllocs()

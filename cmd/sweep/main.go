@@ -84,7 +84,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	sampleSkip := fs.Uint64("sample-skip", 18_000, "instructions functionally warmed between detailed phases (-mode sampled)")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "design points simulated in parallel")
 	keepGoing := fs.Bool("keep-going", true, "continue past failed design points (successful rows are always emitted)")
-	timeout := fs.Duration("timeout", 0, "wall-clock deadline per design point (0 = none; under -endpoints, the daemon's default deadline)")
+	timeout := fs.Duration("timeout", 0, "wall-clock deadline per design point (0 = none; under -endpoints, rounded up to whole milliseconds, and 0 = the daemon's default deadline)")
 	retries := fs.Int("retries", 0, "retries per transiently failing point")
 	endpoints := fs.String("endpoints", "", "comma-separated intervalsimd endpoints: shard the sweep across a fleet instead of simulating in-process (see sweepctl for full control)")
 	showVersion := fs.Bool("version", false, "print the build identity and exit")

@@ -80,7 +80,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	depths := fs.String("depths", "3,7,11", "frontend-depth axis")
 	robs := fs.String("robs", "64,128,256", "ROB-size axis")
 	batch := fs.Int("batch", 0, "design points per dispatched shard (0 = auto)")
-	timeout := fs.Duration("timeout", 0, "wall-clock deadline per design point on the daemon (0 = the daemon's default deadline)")
+	timeout := fs.Duration("timeout", 0, "wall-clock deadline per design point on the daemon, rounded up to whole milliseconds (0 = the daemon's default deadline)")
 	retries := fs.Int("retries", 1, "dispatch retries per batch per node before handing it back to the fleet")
 	keepGoing := fs.Bool("keep-going", true, "continue past failed design points (successful rows are always emitted)")
 	stealAfter := fs.Duration("steal-after", 5*time.Second, "steal a batch from a node after it has been in flight this long")

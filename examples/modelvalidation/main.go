@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"intervalsim/internal/core"
+	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
@@ -28,28 +29,34 @@ func main() {
 		log.Fatal("benchmark not found")
 	}
 	cfg := uarch.Baseline()
-	tr, err := trace.ReadAll(workload.MustNew(wc, insts))
+	soa, err := trace.PackReader(workload.MustNew(wc, insts))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Step 1 — fast functional profile: drive only the branch predictor and
-	// the caches over the trace to collect the miss-event population.
-	prof, err := core.FunctionalProfile(tr.Reader(), cfg, warmup, 0)
+	// Step 1 — speculation pre-pass: drive only the branch predictor and the
+	// caches over the trace, in program order and with no timing, and record
+	// every outcome in an overlay.
+	ov, err := overlay.Compute(soa, cfg.Pred, cfg.Mem)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Step 2 — the model: a model set reads the functional profile (the
+	// miss-event population) off the overlay, and measures the ILP
+	// characteristics — critical-path statistics of the program under unit
+	// and machine latencies, plus the branch-resolution curve — on the
+	// packed trace.
+	set, err := core.NewModelSet(soa, ov, cfg, cfg.ROBSize, warmup, insts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	model, prof, err := set.For(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("functional profile: %d mispredicts, %d I$ misses, %d long D-misses (%d serial)\n",
 		prof.Mispredicts, prof.ICacheMisses, prof.LongDMisses, prof.LongSerial)
-
-	// Step 2 — ILP characteristics: critical-path statistics of the program
-	// under unit and machine latencies, plus the branch-resolution curve.
-	// Pack once: the ILP kernels and the simulator both read the packed trace.
-	soa := trace.Pack(tr)
-	model, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), insts)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("ILP characteristic: K(%d) = %.1f (unit), beta = %.2f\n",
 		cfg.ROBSize, model.KUnit.EvalInterp(cfg.ROBSize), model.KUnit.Beta)
 	fmt.Printf("penalty model: P(8) = %.1f, P(64) = %.1f, P(saturated) = %.1f cycles\n",

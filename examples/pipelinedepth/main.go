@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"intervalsim/internal/core"
+	"intervalsim/internal/overlay"
 	"intervalsim/internal/report"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
@@ -25,17 +26,29 @@ func main() {
 	if !ok {
 		log.Fatal("benchmark not found")
 	}
-	tr, err := trace.ReadAll(workload.MustNew(wc, 400_000))
+	soa, err := trace.PackReader(workload.MustNew(wc, 400_000))
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Pack once: every depth simulates and profiles the same packed trace.
-	soa := trace.Pack(tr)
+
+	// The analytic side needs only a functional profile (predictor + caches,
+	// no timing) and the program's ILP characteristics. The depth changes
+	// neither, so one model set, over one speculation pre-pass, serves every
+	// depth.
+	base := uarch.Baseline()
+	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
+	if err != nil {
+		log.Fatal(err)
+	}
+	set, err := core.NewModelSet(soa, ov, base, base.ROBSize, 100_000, soa.Len())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	t := report.New("misprediction penalty vs frontend pipeline depth (crafty)",
 		"depth", "measured penalty", "model penalty", "measured - depth")
 	for _, depth := range []int{3, 5, 8, 11, 14} {
-		cfg := uarch.Baseline()
+		cfg := base
 		cfg.FrontendDepth = depth
 
 		res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
@@ -46,13 +59,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// The analytic side needs only a functional profile (predictor +
-		// caches, no timing) and the program's ILP characteristic.
-		prof, err := core.FunctionalProfile(tr.Reader(), cfg, 100_000, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		model, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), tr.Len())
+		model, prof, err := set.For(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

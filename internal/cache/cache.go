@@ -79,14 +79,6 @@ type Stats struct {
 	Misses   uint64
 }
 
-// MissRatio returns misses/accesses, or 0 before any access.
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one set-associative cache level.
 type Cache struct {
 	cfg      Config

@@ -177,18 +177,8 @@ func TestCapacityBehaviour(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		c2.Access(uint64(s.Intn(256)) * 64)
 	}
-	if c2.Stats.MissRatio() < 0.5 {
-		t.Errorf("thrashing miss ratio = %.2f, want > 0.5", c2.Stats.MissRatio())
-	}
-}
-
-func TestMissRatio(t *testing.T) {
-	if (Stats{}).MissRatio() != 0 {
-		t.Error("empty stats miss ratio should be 0")
-	}
-	s := Stats{Accesses: 4, Misses: 1}
-	if s.MissRatio() != 0.25 {
-		t.Errorf("miss ratio = %v", s.MissRatio())
+	if ratio := float64(c2.Stats.Misses) / float64(c2.Stats.Accesses); ratio < 0.5 {
+		t.Errorf("thrashing miss ratio = %.2f, want > 0.5", ratio)
 	}
 }
 

@@ -52,7 +52,9 @@ type Options struct {
 	// BatchSize is the number of design points per dispatched shard; 0
 	// picks a default sized so each endpoint sees several shards.
 	BatchSize int
-	// PointTimeout bounds each design point on the daemon. 0 sends no
+	// PointTimeout bounds each design point on the daemon. A positive
+	// deadline is rounded up to whole milliseconds, the unit of the batch
+	// request, so a sub-millisecond one is sent as 1ms. 0 sends no
 	// deadline, so the daemon applies its own default (intervalsimd
 	// -timeout, 60s unless set).
 	PointTimeout time.Duration
@@ -445,7 +447,7 @@ func (r *run) dispatch(ctx context.Context, c *Client, st *batchState) error {
 		FetchRate: r.opts.FetchRate,
 		Mode:      r.mode,
 		Decompose: r.mode == "sim",
-		TimeoutMS: int(r.opts.PointTimeout / time.Millisecond),
+		TimeoutMS: timeoutMS(r.opts.PointTimeout),
 		Points:    st.Specs,
 	}
 	if r.mode == "sampled" {
@@ -573,4 +575,15 @@ func (rs *RunStats) FprintSummary(w io.Writer) {
 			f.TraceFills, f.OverlayFills, float64(f.FillBytesFetched)/1e6,
 			f.TracesComputed, f.OverlaysComputed, f.FillErrors)
 	}
+}
+
+// timeoutMS converts a point deadline to the whole milliseconds of a batch
+// request, rounding a positive deadline up: truncation would turn a
+// sub-millisecond deadline into 0, which asks for the daemon's default.
+func timeoutMS(d time.Duration) int {
+	ms := d.Milliseconds()
+	if d > time.Duration(ms)*time.Millisecond {
+		ms++
+	}
+	return int(ms)
 }

@@ -385,6 +385,48 @@ func TestRunZeroPointTimeoutUsesDaemonDefault(t *testing.T) {
 	}
 }
 
+// TestRunSubMillisecondPointTimeout: a deadline below one millisecond is
+// rounded up to 1ms, not truncated to 0, which would hand every point the
+// daemon's default deadline. Against a daemon whose default is a minute,
+// every 100K-instruction point must time out under a 500µs deadline.
+func TestRunSubMillisecondPointTimeout(t *testing.T) {
+	a := bootDaemon(t, service.Options{Workers: 2, DefaultTimeout: time.Minute}, nil)
+	var rows []Row
+	rs, err := Run(context.Background(), Options{
+		Endpoints:    []string{a.URL},
+		Benches:      []string{"gzip"},
+		Widths:       []int{2, 4},
+		Depths:       []int{3},
+		ROBs:         []int{64},
+		Insts:        100_000,
+		Warmup:       1_000,
+		PointTimeout: 500 * time.Microsecond,
+		BatchSize:    1,
+		StealAfter:   -1,
+		KeepGoing:    true,
+		Logf:         t.Logf,
+	}, func(r *Row) error {
+		rows = append(rows, *r)
+		return nil
+	})
+	if err == nil || rs.OK != 0 || rs.Failed != 2 || len(rows) != 2 {
+		t.Fatalf("PointTimeout 500µs: stats = %+v, %d rows, err = %v; want every point timed out", rs, len(rows), err)
+	}
+	for _, r := range rows {
+		if r.Point.Outcome != "timeout" {
+			t.Errorf("PointTimeout 500µs: point %d outcome %q (%s), want timeout", r.Point.Seq, r.Point.Outcome, r.Point.Error)
+		}
+	}
+	for d, want := range map[time.Duration]int{
+		0: 0, time.Nanosecond: 1, 500 * time.Microsecond: 1, time.Millisecond: 1,
+		time.Millisecond + time.Nanosecond: 2, time.Minute: 60_000,
+	} {
+		if got := timeoutMS(d); got != want {
+			t.Errorf("timeoutMS(%v) = %d, want %d", d, got, want)
+		}
+	}
+}
+
 // TestRunNoHealthyEndpoints: a fleet where nothing answers /healthz is a
 // fast configuration error, not a hang.
 func TestRunNoHealthyEndpoints(t *testing.T) {

@@ -95,12 +95,6 @@ func (r *Ring) Replicas() int { return r.replicas }
 // Nodes returns the ring's endpoints in construction order.
 func (r *Ring) Nodes() []string { return r.nodes }
 
-// Owner returns the node owning key: the first virtual point at or clockwise
-// of the key's hash.
-func (r *Ring) Owner(key string) string {
-	return r.OwnerAmong(key, nil)
-}
-
 // OwnerAmong returns the owner of key among the nodes for which alive
 // returns true (nil means all): the walk continues clockwise past dead
 // nodes' points, which is exactly the minimal-churn reassignment — keys of

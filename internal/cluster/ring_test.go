@@ -29,7 +29,7 @@ func TestRingBalance(t *testing.T) {
 		count := map[string]int{}
 		keys := ringKeys()
 		for _, k := range keys {
-			count[r.Owner(k)]++
+			count[r.OwnerAmong(k, nil)]++
 		}
 		fair := float64(len(keys)) / float64(n)
 		for _, node := range nodes {
@@ -53,7 +53,7 @@ func TestRingMinimalChurn(t *testing.T) {
 	alive := func(n string) bool { return n != dead }
 	moved := 0
 	for _, k := range ringKeys() {
-		before := r.Owner(k)
+		before := r.OwnerAmong(k, nil)
 		after := r.OwnerAmong(k, alive)
 		if before != dead {
 			if after != before {
@@ -74,7 +74,7 @@ func TestRingMinimalChurn(t *testing.T) {
 	// failover is the same pure function as membership change.
 	survivors := NewRing([]string{nodes[0], nodes[1], nodes[3]}, 0)
 	for _, k := range ringKeys() {
-		if got, want := r.OwnerAmong(k, alive), survivors.Owner(k); got != want {
+		if got, want := r.OwnerAmong(k, alive), survivors.OwnerAmong(k, nil); got != want {
 			t.Fatalf("key %s: OwnerAmong = %s, survivor ring = %s", k, got, want)
 		}
 	}
@@ -86,8 +86,8 @@ func TestRingOrderIndependence(t *testing.T) {
 	a := NewRing([]string{"n1", "n2", "n3"}, 32)
 	b := NewRing([]string{"n3", "n1", "n2"}, 32)
 	for _, k := range ringKeys()[:100] {
-		if a.Owner(k) != b.Owner(k) {
-			t.Fatalf("key %s owner depends on node order: %s vs %s", k, a.Owner(k), b.Owner(k))
+		if a.OwnerAmong(k, nil) != b.OwnerAmong(k, nil) {
+			t.Fatalf("key %s owner depends on node order: %s vs %s", k, a.OwnerAmong(k, nil), b.OwnerAmong(k, nil))
 		}
 	}
 }
@@ -160,7 +160,7 @@ func TestRingAssignBounded(t *testing.T) {
 	bounded := r.AssignBounded(all, nil)
 	same := 0
 	for _, k := range all {
-		if bounded[k] == r.Owner(k) {
+		if bounded[k] == r.OwnerAmong(k, nil) {
 			same++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
@@ -135,11 +136,18 @@ func TestDrainGrowsWithOccupancy(t *testing.T) {
 	}
 }
 
+// TestFunctionalProfileMatchesDetailedEvents checks the model's miss-event
+// profile, read off the overlay, against the events of the detailed run.
 func TestFunctionalProfileMatchesDetailedEvents(t *testing.T) {
 	wc := testWorkload()
 	cfg := uarch.Baseline()
 	tr, res := runDetailed(t, wc, cfg)
-	prof, err := FunctionalProfile(tr.Reader(), cfg, 0, 0)
+	soa := trace.Pack(tr)
+	ov, err := overlay.Compute(soa, cfg.Pred, cfg.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := overlayProfile(soa, ov, cfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,18 +182,11 @@ func TestFunctionalProfileMatchesDetailedEvents(t *testing.T) {
 func TestModelPenaltyMonotoneAndAboveFrontend(t *testing.T) {
 	wc := testWorkload()
 	cfg := uarch.Baseline()
-	prof, err := FunctionalProfile(workload.MustNew(wc, testLen), cfg, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	soa, err := trace.PackReader(workload.MustNew(wc, testLen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(soa, cfg, prof.ShortMissRatio(), testLen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, _ := dedicatedModel(t, soa, cfg, 0)
 	prev := 0.0
 	for _, d := range []uint64{0, 2, 8, 32, 128, 512} {
 		p := m.MispredictPenalty(d)
@@ -207,14 +208,7 @@ func TestModelCPIValidation(t *testing.T) {
 	wc := testWorkload()
 	cfg := uarch.Baseline()
 	tr, res := runDetailed(t, wc, cfg)
-	prof, err := FunctionalProfile(tr.Reader(), cfg, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := BuildModel(trace.Pack(tr), cfg, prof.ShortMissRatio(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, prof := dedicatedModel(t, trace.Pack(tr), cfg, 0)
 	pred, err := m.PredictCPI(prof)
 	if err != nil {
 		t.Fatal(err)

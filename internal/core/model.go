@@ -6,7 +6,6 @@ import (
 	"intervalsim/internal/cache"
 	"intervalsim/internal/ilp"
 	"intervalsim/internal/isa"
-	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 )
 
@@ -56,33 +55,13 @@ type ModelOptions struct {
 	NaiveResolution bool
 }
 
-// BuildModel profiles the packed trace soa over at most maxInsts
-// instructions: the unit- and machine-latency characteristics in one fused
-// pass, then the branch-resolution characteristic at cfg's dispatch width.
-// shortRatio is the program's short-miss ratio from a functional profile.
-func BuildModel(soa *trace.SoA, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	windows := windowLadder(cfg.ROBSize)
-	lat := MachineLatency(cfg, shortRatio)
-	ks, err := ilp.Profile(soa, windows, []ilp.Latencies{ilp.UnitLatencies(), lat}, maxInsts)
-	if err != nil {
-		return nil, err
-	}
-	kres, err := ilp.ProfileResolution(soa, windows, lat, cfg.DispatchWidth, maxInsts, resolutionSample)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{Cfg: cfg, KUnit: ks[0], KLat: ks[1], KRes: kres}, nil
-}
-
 // resolutionSample profiles the resolution characteristic at every fourth
 // branch.
 const resolutionSample = 4
 
-// windowLadder returns power-of-two window sizes up to and including the
-// ROB size.
+// windowLadder returns the window ladder of a ROB size: the window sizes at
+// which the model measures each ILP characteristic, powers of two below the
+// ROB size and then the ROB size itself.
 func windowLadder(rob int) []int {
 	var out []int
 	for w := 2; w < rob; w *= 2 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"intervalsim/internal/ilp"
@@ -10,26 +11,22 @@ import (
 	"intervalsim/internal/uarch"
 )
 
-// ModelSet amortizes the expensive inputs of the analytic interval model
-// across a family of configurations that share a trace, a speculation
-// configuration (predictor + cache geometry), and all latencies — a timing
-// sweep over dispatch width, frontend depth, and ROB size. BuildModel runs
-// the ILP profiling kernels for one configuration; a ModelSet runs the fused
-// unit- and machine-latency pass once, the branch-resolution pass once per
-// distinct dispatch width, and the functional miss-event profile once per
-// distinct ROB size, all straight off a precomputed overlay with no
-// predictor or cache simulation at all. A set is safe for concurrent use, so
-// one set can serve every worker that asks for a member of its family.
+// ModelSet builds the analytic interval model for a family of configurations
+// that share a trace, a speculation configuration (predictor + cache
+// geometry) and all latencies — a timing sweep over dispatch width, frontend
+// depth and ROB size — and is the only way to build one. It measures each
+// ILP characteristic once per window size: the unit- and machine-latency
+// K(w) in one fused pass, the branch-resolution K(w) once per distinct
+// dispatch width, and the miss-event profile once per distinct ROB size, all
+// straight off a precomputed overlay with no predictor or cache simulation
+// at all. A set is safe for concurrent use, so one set can serve every
+// worker that asks for a member of its family.
 //
-// The sharing is sound because every characteristic is profiled over the
-// window ladder of maxROB and only ever evaluated at or below a requested
-// ROB size: For rejects a ROB size that is not an exact ladder node (a power
-// of two up to maxROB, or maxROB itself), so interpolation between nodes
-// never crosses a node the smaller ladder would have had. Predictions match
-// a dedicated BuildModel exactly for every occupancy at or above the
-// smallest ladder window (2); below it EvalInterp falls back to the fitted
-// power law, whose coefficients see the extra high-window points — a
-// sub-cycle difference worth <0.1% of CPI (TestModelSetMatchesBuildModel).
+// The sharing is exact: ilp.Profile tiles each window size on its own, so
+// K(w) does not depend on which other sizes were measured with it, and For
+// fits every ROB size on its own window ladder from those measurements. For
+// therefore returns, bit for bit, the model a set dedicated to that one
+// configuration would return, whatever ROB sizes the set answered before.
 type ModelSet struct {
 	soa      *trace.SoA
 	ov       *overlay.Overlay
@@ -39,19 +36,27 @@ type ModelSet struct {
 	maxInsts int
 
 	mu         sync.Mutex
-	shared     bool // kunit/klat/shortRatio computed
-	kunit      ilp.Characteristic
-	klat       ilp.Characteristic
-	shortRatio float64
-	kres       map[int]ilp.Characteristic // by dispatch width
-	prof       map[int]*Profile           // by ROB size
+	shortRatio float64                 // the family's short-miss ratio, set with the first profile
+	kunit      map[int]float64         // unit-latency K(w) by window size
+	klat       map[int]float64         // machine-latency K(w) by window size
+	kres       map[int]map[int]float64 // resolution K(w) by dispatch width, then window size
+	prof       map[int]*Profile        // by ROB size, at most maxProfiles
 }
+
+// maxProfiles bounds the miss-event profiles a set keeps, one per ROB size,
+// each as large as the program's miss-event stream. A set shared by a
+// daemon sees whatever ROB sizes clients ask for; past this many, For
+// rebuilds the profile of a size it did not keep instead of keeping more.
+const maxProfiles = 16
 
 // NewModelSet prepares a model family over soa + ov. base fixes everything
 // the family must share: the speculation configuration and the latencies.
-// maxROB is the largest ROB size any For call will request; warmup and
-// maxInsts bound the profiled region exactly as in OverlayProfile and
-// BuildModel.
+// The first For profiles the window ladder of maxROB up front, so a sweep
+// whose largest ROB is maxROB pays one pass per characteristic; other ROB
+// sizes, larger ones included, are profiled as they are asked for. warmup
+// and maxInsts bound the profiled region: the first warmup instructions are
+// left out of every profile count, and at most maxInsts instructions are
+// read (0 = all).
 func NewModelSet(soa *trace.SoA, ov *overlay.Overlay, base uarch.Config, maxROB int, warmup uint64, maxInsts int) (*ModelSet, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
@@ -63,35 +68,34 @@ func NewModelSet(soa *trace.SoA, ov *overlay.Overlay, base uarch.Config, maxROB 
 		return nil, fmt.Errorf("%w: overlay was computed for a different trace", ErrBadInput)
 	}
 	if ov.PredFP != base.Pred.Fingerprint() || ov.MemFP != base.Mem.Fingerprint() ||
-		ov.VPredFP != vpredConfigFP(base.VPred) {
+		ov.VPredFP != overlay.VPredFingerprint(base.VPred) {
 		return nil, fmt.Errorf("%w: overlay fingerprints do not match the base configuration", ErrBadInput)
 	}
 	return &ModelSet{
 		soa: soa, ov: ov, base: base, maxROB: maxROB,
 		warmup: warmup, maxInsts: maxInsts,
-		kres: make(map[int]ilp.Characteristic),
-		prof: make(map[int]*Profile),
+		kunit: make(map[int]float64),
+		klat:  make(map[int]float64),
+		kres:  make(map[int]map[int]float64),
+		prof:  make(map[int]*Profile),
 	}, nil
 }
 
-// For composes the analytic model and the functional profile for one member
-// of the family, reusing every shared characteristic. It rejects — rather
-// than silently mis-shares — a configuration whose speculation state,
-// latencies, or ROB size fall outside the family contract. Safe for
+// For composes the analytic model and the miss-event profile for one member
+// of the family, profiling only the window sizes no earlier call measured.
+// It rejects — rather than silently mis-shares — a configuration whose
+// speculation state or latencies fall outside the family. Safe for
 // concurrent use.
 func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if cfg.Pred.Fingerprint() != s.ov.PredFP || cfg.Mem.Fingerprint() != s.ov.MemFP ||
-		vpredConfigFP(cfg.VPred) != s.ov.VPredFP {
+		overlay.VPredFingerprint(cfg.VPred) != s.ov.VPredFP {
 		return nil, nil, fmt.Errorf("%w: configuration's speculation state differs from the overlay's", ErrBadInput)
 	}
 	if cfg.Mem.Lat != s.base.Mem.Lat || cfg.FU.Latencies() != s.base.FU.Latencies() {
 		return nil, nil, fmt.Errorf("%w: configuration's latencies differ from the model set's", ErrBadInput)
-	}
-	if !ladderNode(cfg.ROBSize, s.maxROB) {
-		return nil, nil, fmt.Errorf("%w: ROB size %d is not a window-ladder node of maxROB %d", ErrBadInput, cfg.ROBSize, s.maxROB)
 	}
 
 	s.mu.Lock()
@@ -99,42 +103,70 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 	prof, ok := s.prof[cfg.ROBSize]
 	if !ok {
 		var err error
-		prof, err = OverlayProfile(s.soa, s.ov, cfg, s.warmup, uint64(s.maxInsts))
-		if err != nil {
+		if prof, err = overlayProfile(s.soa, s.ov, cfg, s.warmup, uint64(s.maxInsts)); err != nil {
 			return nil, nil, err
 		}
-		s.prof[cfg.ROBSize] = prof
+		if len(s.prof) == 0 {
+			// The short-miss ratio counts L1-hit vs L2-hit loads: a property
+			// of the overlay and the warmup, the same for every ROB size.
+			s.shortRatio = prof.ShortMissRatio()
+		}
+		if len(s.prof) < maxProfiles {
+			s.prof[cfg.ROBSize] = prof
+		}
 	}
-	windows := windowLadder(s.maxROB)
-	if !s.shared {
-		// The short-miss ratio counts L1-hit vs L2-hit loads: a property of
-		// the overlay, identical for every ROB size in the family.
-		s.shortRatio = prof.ShortMissRatio()
-		ks, err := ilp.Profile(s.soa, windows, []ilp.Latencies{ilp.UnitLatencies(), MachineLatency(s.base, s.shortRatio)}, s.maxInsts)
+	ladder := windowLadder(cfg.ROBSize)
+	lat := MachineLatency(s.base, s.shortRatio)
+	if todo := s.unmeasured(s.kunit, ladder); len(todo) > 0 {
+		ks, err := ilp.Profile(s.soa, todo, []ilp.Latencies{ilp.UnitLatencies(), lat}, s.maxInsts)
 		if err != nil {
 			return nil, nil, err
 		}
-		s.kunit, s.klat, s.shared = ks[0], ks[1], true
+		for i, w := range todo {
+			s.kunit[w], s.klat[w] = ks[0].K[i], ks[1].K[i]
+		}
 	}
 	kres, ok := s.kres[cfg.DispatchWidth]
 	if !ok {
-		var err error
-		kres, err = ilp.ProfileResolution(s.soa, windows, MachineLatency(s.base, s.shortRatio), cfg.DispatchWidth, s.maxInsts, resolutionSample)
+		kres = make(map[int]float64)
+		s.kres[cfg.DispatchWidth] = kres
+	}
+	if todo := s.unmeasured(kres, ladder); len(todo) > 0 {
+		k, err := ilp.ProfileResolution(s.soa, todo, lat, cfg.DispatchWidth, s.maxInsts, resolutionSample)
 		if err != nil {
 			return nil, nil, err
 		}
-		s.kres[cfg.DispatchWidth] = kres
+		for i, w := range todo {
+			kres[w] = k.K[i]
+		}
 	}
-	return &Model{Cfg: cfg, KUnit: s.kunit, KLat: s.klat, KRes: kres}, prof, nil
+	return &Model{
+		Cfg:   cfg,
+		KUnit: fitted(s.kunit, ladder),
+		KLat:  fitted(s.klat, ladder),
+		KRes:  fitted(kres, ladder),
+	}, prof, nil
 }
 
-// ladderNode reports whether rob is an exact node of windowLadder(maxROB).
-func ladderNode(rob, maxROB int) bool {
-	if rob == maxROB {
-		return true
+// unmeasured returns, ascending, the window sizes of ladder and of maxROB's
+// ladder that have no entry in have.
+func (s *ModelSet) unmeasured(have map[int]float64, ladder []int) []int {
+	var todo []int
+	for _, w := range append(windowLadder(s.maxROB), ladder...) {
+		if _, ok := have[w]; !ok && !slices.Contains(todo, w) {
+			todo = append(todo, w)
+		}
 	}
-	if rob < 2 || rob > maxROB {
-		return false
+	slices.Sort(todo)
+	return todo
+}
+
+// fitted returns the characteristic of the measured K(w) at the windows of
+// ladder.
+func fitted(k map[int]float64, ladder []int) ilp.Characteristic {
+	ks := make([]float64, len(ladder))
+	for i, w := range ladder {
+		ks[i] = k[w]
 	}
-	return rob&(rob-1) == 0
+	return ilp.NewCharacteristic(ladder, ks)
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
-	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"intervalsim/internal/ilp"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
@@ -25,74 +26,144 @@ func modelSetPoint(width, depth, rob int) uarch.Config {
 	return cfg
 }
 
-// TestModelSetMatchesBuildModel is the sharing-soundness gate: a model
-// composed from a ModelSet's shared characteristics (profiled once over the
-// maxROB window ladder) must predict the same penalties as a BuildModel
-// call dedicated to that point for every occupancy at or above the smallest
-// ladder window — exact, because every grid ROB size is an exact ladder
-// node and the model never evaluates a characteristic above the requested
-// ROB size. Only occupancy 1 may differ (fitted-power-law fallback below
-// the smallest window), bounding the CPI difference below 0.1%.
-func TestModelSetMatchesBuildModel(t *testing.T) {
-	const insts = 40_000
-	wc, _ := workload.SuiteConfig("crafty")
-	tr, err := trace.ReadAll(workload.MustNew(wc, insts))
-	if err != nil {
-		t.Fatal(err)
+// buildModel is the reference model build: the unit- and machine-latency
+// characteristics in one fused pass and the branch-resolution
+// characteristic at cfg's dispatch width, each profiled over cfg's own
+// window ladder and nothing else. shortRatio is the program's short-miss
+// ratio from a functional profile.
+func buildModel(soa *trace.SoA, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	soa := trace.Pack(tr)
-	base := uarch.Baseline()
-	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
+	windows := windowLadder(cfg.ROBSize)
+	lat := MachineLatency(cfg, shortRatio)
+	ks, err := ilp.Profile(soa, windows, []ilp.Latencies{ilp.UnitLatencies(), lat}, maxInsts)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	const maxROB = 256
-	set, err := NewModelSet(soa, ov, base, maxROB, 5_000, insts)
+	kres, err := ilp.ProfileResolution(soa, windows, lat, cfg.DispatchWidth, maxInsts, resolutionSample)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	return &Model{Cfg: cfg, KUnit: ks[0], KLat: ks[1], KRes: kres}, nil
+}
 
-	for _, width := range []int{2, 4, 8} {
-		for _, depth := range []int{3, 11} {
-			for _, rob := range []int{64, 128, 256} {
-				cfg := modelSetPoint(width, depth, rob)
+// dedicatedModel builds the model of cfg and its miss-event profile over
+// soa with a model set dedicated to cfg.
+func dedicatedModel(t *testing.T, soa *trace.SoA, cfg uarch.Config, warmup uint64) (*Model, *Profile) {
+	t.Helper()
+	ov, err := overlay.ComputeSpec(soa, cfg.Pred, cfg.Mem, cfg.VPred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := NewModelSet(soa, ov, cfg, cfg.ROBSize, warmup, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, prof, err := set.For(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, prof
+}
+
+// TestModelSetMatchesBuildModel is the sharing-soundness gate: a model
+// composed from a ModelSet's per-window measurements must equal, bit for
+// bit, the reference build dedicated to that one point, and predict the
+// same cycle stack from the set's profile as the reference does from the
+// live functional profile. One set, whose up-front ladder is that of ROB
+// 128, answers ROB sizes below, between, at and above its ladder nodes, in
+// an order that makes later sizes reuse and extend earlier measurements.
+func TestModelSetMatchesBuildModel(t *testing.T) {
+	const insts, warmup = 60_000, 5_000
+	for _, name := range []string{"crafty", "mcf"} {
+		wc, _ := workload.SuiteConfig(name)
+		tr, err := trace.ReadAll(workload.MustNew(wc, insts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		soa := trace.Pack(tr)
+		base := uarch.Baseline()
+		ov, err := overlay.Compute(soa, base.Pred, base.Mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := NewModelSet(soa, ov, base, 128, warmup, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rob := range []int{256, 64, 96, 128, 200, 32, 512, 3} {
+			for _, width := range []int{2, 4, 8} {
+				cfg := modelSetPoint(width, 3+4*(i%3), rob)
 				shared, prof, err := set.For(cfg)
 				if err != nil {
-					t.Fatalf("For(w%d d%d r%d): %v", width, depth, rob, err)
+					t.Fatalf("%s: For(w%d r%d): %v", name, width, rob, err)
 				}
-				direct, err := BuildModel(soa, cfg, prof.ShortMissRatio(), insts)
+				dedicated, err := FunctionalProfile(tr.Reader(), cfg, warmup, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dedicated, err := FunctionalProfile(tr.Reader(), cfg, 5_000, 0)
+				direct, err := buildModel(soa, cfg, dedicated.ShortMissRatio(), insts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantPred, err := direct.PredictCPI(dedicated)
+				if !reflect.DeepEqual(shared, direct) {
+					t.Errorf("%s w%d r%d: set model %+v, reference %+v", name, width, rob, shared, direct)
+				}
+				want, err := direct.PredictCPI(dedicated)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotPred, err := shared.PredictCPI(prof)
+				got, err := shared.PredictCPI(prof)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rel := math.Abs(gotPred.CPI()-wantPred.CPI()) / wantPred.CPI(); rel > 1e-3 {
-					t.Errorf("w%d d%d r%d: shared CPI %.9f vs dedicated %.9f (rel %.2g)",
-						width, depth, rob, gotPred.CPI(), wantPred.CPI(), rel)
-				}
-				for occ := uint64(2); occ <= uint64(rob); occ *= 3 {
-					if g, w := shared.MispredictPenalty(occ), direct.MispredictPenalty(occ); math.Abs(g-w) > 1e-12 {
-						t.Errorf("w%d d%d r%d occ %d: shared penalty %.9f != dedicated %.9f",
-							width, depth, rob, occ, g, w)
-					}
+				if got != want {
+					t.Errorf("%s w%d r%d: set prediction %+v, reference %+v", name, width, rob, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestModelSetRejectsOutsideFamily pins the contract checks: a configuration
-// that would silently mis-share a characteristic must be refused.
+// TestModelSetBoundsProfiles: a set keeps at most maxProfiles miss-event
+// profiles however many ROB sizes it is asked for, and answers the sizes it
+// did not keep exactly as a set dedicated to them.
+func TestModelSetBoundsProfiles(t *testing.T) {
+	const insts = 20_000
+	wc, _ := workload.SuiteConfig("mcf")
+	soa, err := trace.PackReader(workload.MustNew(wc, insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uarch.Baseline()
+	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := NewModelSet(soa, ov, base, 128, 2_000, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rob := 40; rob < 40+2*maxProfiles; rob++ {
+		cfg := modelSetPoint(4, 5, rob)
+		m, prof, err := set.For(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantM, wantProf := dedicatedModel(t, soa, cfg, 2_000)
+		if !reflect.DeepEqual(m, wantM) || !reflect.DeepEqual(prof, wantProf) {
+			t.Errorf("ROB %d: set answer differs from a dedicated set's", rob)
+		}
+	}
+	if n := len(set.prof); n != maxProfiles {
+		t.Errorf("set keeps %d profiles, want %d", n, maxProfiles)
+	}
+}
+
+// TestModelSetRejectsOutsideFamily pins the contract checks: an invalid
+// configuration, and one that would silently mis-share a characteristic,
+// must be refused.
 func TestModelSetRejectsOutsideFamily(t *testing.T) {
 	const insts = 5_000
 	wc, _ := workload.SuiteConfig("gzip")
@@ -126,13 +197,10 @@ func TestModelSetRejectsOutsideFamily(t *testing.T) {
 	if _, _, err := set.For(fu); err == nil {
 		t.Error("scaled FU latencies accepted")
 	}
-	offLadder := modelSetPoint(4, 5, 96)
-	if _, _, err := set.For(offLadder); err == nil {
-		t.Error("non-ladder ROB size accepted")
-	}
-	tooBig := modelSetPoint(4, 5, 512)
-	if _, _, err := set.For(tooBig); err == nil {
-		t.Error("ROB above maxROB accepted")
+	invalid := modelSetPoint(4, 5, 128)
+	invalid.ROBSize = 0
+	if _, _, err := set.For(invalid); err == nil {
+		t.Error("invalid configuration accepted")
 	}
 	counts := modelSetPoint(8, 5, 128) // width scales counts, not latencies
 	counts.FU.MemPort.Count = 4
@@ -152,7 +220,8 @@ func TestModelSetRejectsOutsideFamily(t *testing.T) {
 // TestModelSetConcurrentFor: one set shared by many workers — as the
 // service's model-set memo shares it — answers every member exactly as
 // serial calls on a fresh set do, with its lazily built characteristics and
-// profiles raced for from the first call on.
+// profiles raced for from the first call on, ROB sizes off and above the
+// up-front ladder included.
 func TestModelSetConcurrentFor(t *testing.T) {
 	const insts = 30_000
 	wc, _ := workload.SuiteConfig("twolf")
@@ -167,7 +236,7 @@ func TestModelSetConcurrentFor(t *testing.T) {
 	}
 	var points []uarch.Config
 	for _, width := range []int{2, 4, 8} {
-		for _, rob := range []int{32, 128, 256} {
+		for _, rob := range []int{32, 96, 128, 256, 384} {
 			points = append(points, modelSetPoint(width, 5, rob))
 		}
 	}

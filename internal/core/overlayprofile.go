@@ -8,34 +8,57 @@ import (
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
-	"intervalsim/internal/vpred"
 )
 
-// vpredConfigFP names a machine's value-predictor configuration the way
-// overlays do: 0 for the classic vpred-less machine.
-func vpredConfigFP(vp *vpred.Config) uint64 {
-	if vp == nil {
-		return 0
-	}
-	return vp.Fingerprint()
+// Profile is the functional miss-event profile of a program on a machine:
+// the miss-event stream and rates interval analysis needs, in program order,
+// with no timing and no window. This is the input side of the paper's
+// analytic model: penalties are then *predicted* from these events rather
+// than measured.
+type Profile struct {
+	Insts  uint64 // instructions processed, including warmup
+	Warmup uint64 // leading instructions excluded from counts and events
+	Events []uarch.MissEvent
+
+	Branches     uint64
+	Jumps        uint64
+	TakenXfers   uint64 // taken branches + jumps: fetch-group breaks
+	Mispredicts  uint64
+	ICacheMisses uint64
+	Loads        uint64
+	ShortDMisses uint64
+	LongDMisses  uint64
+	LongSerial   uint64 // long misses address-dependent on a prior in-window long miss
+
+	ValuePredHits uint64 // confident-correct value predictions (dependence broken)
+	ValueMisspecs uint64 // confident-wrong value predictions (pipeline flush)
 }
 
-// OverlayProfile builds the same Profile as FunctionalProfile from a
-// precomputed miss-event overlay instead of live predictor and cache
-// simulation. The overlay already fixes every speculation outcome, so the
-// walk only reconstructs what depends on the machine configuration beyond
-// the speculation structures: the register dataflow taint that marks
-// serialized long misses (a function of ROBSize) and the warmup/maxInsts
-// windowing. One overlay therefore serves every timing point of a sweep —
-// this is the fast path behind the analytic-model experiments, typically an
-// order of magnitude cheaper than re-simulating the caches and predictor
-// per point.
+// ShortMissRatio returns the fraction of loads served by the L2.
+func (p *Profile) ShortMissRatio() float64 {
+	if p.Loads == 0 {
+		return 0
+	}
+	return float64(p.ShortDMisses) / float64(p.Loads)
+}
+
+// overlayProfile builds the functional profile of the first maxInsts
+// records of soa (0 = all) on the machine cfg from a precomputed miss-event
+// overlay. The overlay already fixes every speculation outcome, so the walk
+// only reconstructs what depends on the machine configuration beyond the
+// speculation structures: the register dataflow taint that marks serialized
+// long misses (a function of ROBSize) and the warmup/maxInsts windowing. The
+// first warmup instructions are excluded from every count and from the
+// event stream, mirroring uarch.Options.WarmupInsts so model predictions and
+// detailed measurements cover the same steady-state region. One overlay
+// therefore serves every timing point of a sweep, with no predictor or
+// cache simulation per point.
 //
 // The overlay must have been computed over exactly soa under cfg's
-// predictor and cache-geometry fingerprints; anything else is an error
-// (unlike the silent fallback of the cycle-level replay mode, callers here
-// chose the overlay deliberately).
-func OverlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmup, maxInsts uint64) (*Profile, error) {
+// predictor, cache-geometry and value-predictor fingerprints; anything else
+// is an error (unlike the silent fallback of the cycle-level replay mode,
+// callers here chose the overlay deliberately).
+func overlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmup, maxInsts uint64) (*Profile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -45,7 +68,7 @@ func OverlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmu
 	if ov.PredFP != cfg.Pred.Fingerprint() || ov.MemFP != cfg.Mem.Fingerprint() {
 		return nil, fmt.Errorf("core: overlay fingerprints do not match the configuration")
 	}
-	if ov.VPredFP != vpredConfigFP(cfg.VPred) {
+	if ov.VPredFP != overlay.VPredFingerprint(cfg.VPred) {
 		return nil, fmt.Errorf("core: overlay value-predictor fingerprint does not match the configuration")
 	}
 	n := uint64(soa.Len())
@@ -53,8 +76,10 @@ func OverlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmu
 		n = maxInsts
 	}
 	p := &Profile{Warmup: warmup}
-	// Dataflow taint, exactly as in FunctionalProfile: per register, the
-	// trace index of the most recent long D-miss in its producing chain.
+	// Dataflow taint: per register, the trace index of the most recent long
+	// D-miss in its producing chain (-1 if none). A long-missing load whose
+	// address register is tainted by a miss still inside one reorder window
+	// is serialized behind it (pointer chasing).
 	var taint [isa.NumRegs]int64
 	for i := range taint {
 		taint[i] = -1
@@ -80,10 +105,11 @@ func OverlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmu
 			}
 		}
 
-		// Value-speculation bits, appended in the same order as
-		// FunctionalProfile (after the I-cache event, before the data/control
-		// event). The pre-pass only sets these bits on eligible instructions,
-		// so no eligibility re-check is needed.
+		// Value-speculation bits: value prediction runs at fetch, so its
+		// event follows the I-cache event and precedes the data/control
+		// event, the program-order point of the cycle-level simulator. The
+		// pre-pass only sets these bits on eligible instructions, so no
+		// eligibility re-check is needed.
 		if ov.VPredFP != 0 {
 			switch {
 			case code&overlay.VPredHit != 0:

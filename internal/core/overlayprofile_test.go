@@ -54,7 +54,7 @@ func TestOverlayProfileMatchesFunctional(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fromOv, err := OverlayProfile(soa, ov, cfg, w.warmup, w.maxInsts)
+					fromOv, err := overlayProfile(soa, ov, cfg, w.warmup, w.maxInsts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,17 +83,17 @@ func TestOverlayProfileRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := trace.Pack(tr)
-	if _, err := OverlayProfile(other, ov, cfg, 0, 0); err == nil {
+	if _, err := overlayProfile(other, ov, cfg, 0, 0); err == nil {
 		t.Error("different trace accepted")
 	}
 	changed := cfg
 	changed.Pred.Entries = 2 * cfg.Pred.Entries
-	if _, err := OverlayProfile(soa, ov, changed, 0, 0); err == nil {
+	if _, err := overlayProfile(soa, ov, changed, 0, 0); err == nil {
 		t.Error("mismatched predictor fingerprint accepted")
 	}
 	latOnly := cfg
 	latOnly.Mem.Lat.Mem = 999
-	if _, err := OverlayProfile(soa, ov, latOnly, 0, 0); err != nil {
+	if _, err := overlayProfile(soa, ov, latOnly, 0, 0); err != nil {
 		t.Errorf("latency-only change rejected: %v", err)
 	}
 }

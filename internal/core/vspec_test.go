@@ -45,7 +45,7 @@ func TestVPredProfileMatchesOverlayProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromOv, err := OverlayProfile(soa, ov, cfg, 10_000, 0)
+			fromOv, err := overlayProfile(soa, ov, cfg, 10_000, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,14 +74,14 @@ func TestOverlayProfileRejectsVPredMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OverlayProfile(soa, plain, cfg, 0, 0); err == nil {
+	if _, err := overlayProfile(soa, plain, cfg, 0, 0); err == nil {
 		t.Error("vpred config accepted a vpred-less overlay")
 	}
 	vov, err := overlay.ComputeSpec(soa, cfg.Pred, cfg.Mem, cfg.VPred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OverlayProfile(soa, vov, uarch.Baseline(), 0, 0); err == nil {
+	if _, err := overlayProfile(soa, vov, uarch.Baseline(), 0, 0); err == nil {
 		t.Error("classic config accepted a vpred overlay")
 	}
 	if _, err := NewModelSet(soa, vov, uarch.Baseline(), uarch.Baseline().ROBSize, 0, 0); err == nil {
@@ -93,22 +93,15 @@ func TestOverlayProfileRejectsVPredMismatch(t *testing.T) {
 // new miss-event class through to the cycle stack: a profile with value
 // misspeculations yields a positive VMisspec term included in the total.
 func TestPredictCPIChargesValueMisspecs(t *testing.T) {
-	wc, tr, _ := vspecWorkload(t, "mcf", 40_000)
+	wc, _, soa := vspecWorkload(t, "mcf", 40_000)
 	cfg := uarch.Baseline()
 	vp, _ := vpred.Preset("last-value")
 	vp.Stream = wc.ValueStream()
 	cfg.VPred = &vp
 
-	prof, err := FunctionalProfile(tr.Reader(), cfg, 10_000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, prof := dedicatedModel(t, soa, cfg, 10_000)
 	if prof.ValueMisspecs == 0 {
 		t.Skip("no misspeculations in this trace; nothing to charge")
-	}
-	m, err := BuildModel(trace.Pack(tr), cfg, prof.ShortMissRatio(), 40_000)
-	if err != nil {
-		t.Fatal(err)
 	}
 	b, err := m.PredictCPI(prof)
 	if err != nil {

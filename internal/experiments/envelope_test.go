@@ -64,15 +64,11 @@ func TestModelErrorEnvelope(t *testing.T) {
 // signed relative CPI error against the simulator.
 func modelError(t *testing.T, wc workload.Config, cfg uarch.Config, p Params) float64 {
 	t.Helper()
-	tr, res, err := run(wc, cfg, p)
+	_, res, err := run(wc, cfg, p)
 	if err != nil {
 		t.Fatalf("%s %s: simulate: %v", wc.Name, cfg.Name, err)
 	}
-	prof, err := core.FunctionalProfile(tr.Reader(), cfg, p.Warmup, 0)
-	if err != nil {
-		t.Fatalf("%s %s: profile: %v", wc.Name, cfg.Name, err)
-	}
-	m, err := modelFor(wc, cfg, prof, p)
+	m, prof, err := modelFor(wc, cfg, p)
 	if err != nil {
 		t.Fatalf("%s %s: build model: %v", wc.Name, cfg.Name, err)
 	}

@@ -296,11 +296,7 @@ func E4(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		prof, err := profileFor(wc, cfg, p)
-		if err != nil {
-			return err
-		}
-		m, err := modelFor(wc, cfg, prof, p)
+		m, _, err := modelFor(wc, cfg, p)
 		if err != nil {
 			return err
 		}

@@ -27,11 +27,7 @@ func E11(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		prof, err := profileFor(wc, cfg, p)
-		if err != nil {
-			return err
-		}
-		m, err := modelFor(wc, cfg, prof, p)
+		m, prof, err := modelFor(wc, cfg, p)
 		if err != nil {
 			return err
 		}
@@ -107,11 +103,7 @@ func A1(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		prof, err := profileFor(wc, cfg, p)
-		if err != nil {
-			return err
-		}
-		m, err := modelFor(wc, cfg, prof, p)
+		m, prof, err := modelFor(wc, cfg, p)
 		if err != nil {
 			return err
 		}

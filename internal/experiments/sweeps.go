@@ -123,11 +123,7 @@ func E9(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		prof, err := profileFor(wc, cfg, p)
-		if err != nil {
-			return err
-		}
-		m, err := modelFor(wc, cfg, prof, p)
+		m, prof, err := modelFor(wc, cfg, p)
 		if err != nil {
 			return err
 		}

@@ -106,14 +106,23 @@ func overlayFor(st *suiteTrace, cfg uarch.Config) (*overlay.Overlay, error) {
 	return overlay.Shared.GetSpec(st.soa, cfg.Pred, cfg.Mem, cfg.VPred)
 }
 
-// modelFor builds the analytic model of (wc, insts) under cfg from the
-// shared packed trace and prof's short-miss ratio.
-func modelFor(wc workload.Config, cfg uarch.Config, prof *core.Profile, p Params) (*core.Model, error) {
+// modelFor builds the analytic model of (wc, insts) under cfg and its
+// miss-event profile from the shared packed trace and overlay, with a model
+// set dedicated to cfg.
+func modelFor(wc workload.Config, cfg uarch.Config, p Params) (*core.Model, *core.Profile, error) {
 	st, err := suiteTraceFor(wc, p.Insts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return core.BuildModel(st.soa, cfg, prof.ShortMissRatio(), p.Insts)
+	ov, err := overlayFor(st, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	set, err := core.NewModelSet(st.soa, ov, cfg, cfg.ROBSize, p.Warmup, p.Insts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return set.For(cfg)
 }
 
 // unitCharacteristic measures the unit-latency ILP characteristic of
@@ -128,20 +137,4 @@ func unitCharacteristic(wc workload.Config, p Params) (ilp.Characteristic, error
 		return ilp.Characteristic{}, err
 	}
 	return ks[0], nil
-}
-
-// profileFor builds the functional miss-event profile of (wc, insts) under
-// cfg from the shared overlay: equivalent to core.FunctionalProfile over the
-// same trace (TestOverlayProfileMatchesFunctional) but without re-simulating
-// the predictor and caches per call.
-func profileFor(wc workload.Config, cfg uarch.Config, p Params) (*core.Profile, error) {
-	st, err := suiteTraceFor(wc, p.Insts)
-	if err != nil {
-		return nil, err
-	}
-	ov, err := overlayFor(st, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.OverlayProfile(st.soa, ov, cfg, p.Warmup, 0)
 }

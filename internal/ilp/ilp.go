@@ -184,12 +184,21 @@ func profiled(s *trace.SoA, maxInsts int) int {
 
 // characteristic turns per-window sums and counts into a fitted profile.
 func characteristic(windows []int, sums []float64, counts []int) Characteristic {
-	c := Characteristic{Windows: append([]int(nil), windows...), K: make([]float64, len(windows))}
+	k := make([]float64, len(windows))
 	for i := range windows {
 		if counts[i] > 0 {
-			c.K[i] = sums[i] / float64(counts[i])
+			k[i] = sums[i] / float64(counts[i])
 		}
 	}
+	return NewCharacteristic(windows, k)
+}
+
+// NewCharacteristic returns the characteristic of the measured points
+// (windows[i], k[i]) with its power-law fit; windows must be ascending and
+// as long as k. Both slices are copied. A point with k[i] <= 0 (a window
+// size the trace was too short for) is kept but left out of the fit.
+func NewCharacteristic(windows []int, k []float64) Characteristic {
+	c := Characteristic{Windows: append([]int(nil), windows...), K: append([]float64(nil), k...)}
 	c.fit()
 	return c
 }
@@ -198,10 +207,9 @@ func characteristic(windows []int, sums []float64, counts []int) Characteristic 
 // latency table of lats, in one pass over the first maxInsts records (0 =
 // the whole trace); result i belongs to lats[i]. It computes critical paths
 // over non-overlapping windows of each size in windows (which must be
-// positive and ascending). The trace is cut into chunks of the largest
-// window, and each chunk into windows of each size from its start, so
-// windows of a size that does not divide the largest stop short of the
-// chunk end.
+// positive and ascending): windows of size w start at records 0, w, 2w, …
+// for as long as they fit, whatever other sizes are profiled with them, so
+// K(w) does not depend on the rest of the ladder.
 //
 // Inside a window starting at record lo, a producer counts iff its
 // Dep1/Dep2/DepMem index is at least lo: the packed trace's producer of a
@@ -228,63 +236,57 @@ func Profile(s *trace.SoA, windows []int, lats []Latencies, maxInsts int) ([]Cha
 	sums := make([]float64, nw*nt) // by table, then window size
 	counts := make([]int, nw)
 	next := make([]int, nw) // next start of a window of each size
-	for chunk := 0; chunk < n; chunk += largest {
-		end := min(chunk+largest, n)
-		for wi := range next {
-			next[wi] = chunk
+	for {
+		// The earliest pending window start, and the smallest and the
+		// largest window starting there.
+		lo, first, last := n, -1, -1
+		for wi, w := range windows {
+			switch at := next[wi]; {
+			case at+w > n: // no more windows of this size in the trace
+			case at < lo:
+				lo, first, last = at, wi, wi
+			case at == lo:
+				last = wi
+			}
 		}
-		for {
-			// The earliest pending window start, and the smallest and the
-			// largest window starting there.
-			lo, first, last := end, -1, -1
-			for wi, w := range windows {
-				switch at := next[wi]; {
-				case at+w > end: // no more windows of this size in the chunk
-				case at < lo:
-					lo, first, last = at, wi, wi
-				case at == lo:
-					last = wi
+		if first < 0 {
+			break
+		}
+		clear(longest)
+		wi := first
+		for k := 0; k < windows[last]; k++ {
+			i := lo + k
+			o1, o2, om := int(s.Dep1[i])-lo, int(s.Dep2[i])-lo, int(s.DepMem[i])-lo
+			class := s.Class(i)
+			row := depth[k*nt : (k+1)*nt]
+			for t := range row {
+				var ready float64
+				if o1 >= 0 && depth[o1*nt+t] > ready {
+					ready = depth[o1*nt+t]
+				}
+				if o2 >= 0 && depth[o2*nt+t] > ready {
+					ready = depth[o2*nt+t]
+				}
+				if om >= 0 && depth[om*nt+t] > ready {
+					ready = depth[om*nt+t]
+				}
+				d := ready + lats[t][class]
+				row[t] = d
+				if d > longest[t] {
+					longest[t] = d
 				}
 			}
-			if first < 0 {
-				break
+			if k+1 < windows[wi] {
+				continue
 			}
-			clear(longest)
-			wi := first
-			for k := 0; k < windows[last]; k++ {
-				i := lo + k
-				o1, o2, om := int(s.Dep1[i])-lo, int(s.Dep2[i])-lo, int(s.DepMem[i])-lo
-				class := s.Class(i)
-				row := depth[k*nt : (k+1)*nt]
-				for t := range row {
-					var ready float64
-					if o1 >= 0 && depth[o1*nt+t] > ready {
-						ready = depth[o1*nt+t]
-					}
-					if o2 >= 0 && depth[o2*nt+t] > ready {
-						ready = depth[o2*nt+t]
-					}
-					if om >= 0 && depth[om*nt+t] > ready {
-						ready = depth[om*nt+t]
-					}
-					d := ready + lats[t][class]
-					row[t] = d
-					if d > longest[t] {
-						longest[t] = d
-					}
-				}
-				if k+1 < windows[wi] {
-					continue
-				}
-				// The window of size k+1 starting at lo ends here.
-				for t, l := range longest {
-					sums[t*nw+wi] += l
-				}
-				counts[wi]++
-				next[wi] += windows[wi]
-				// Move on to the next larger window starting at lo.
-				for wi++; wi <= last && next[wi] != lo; wi++ {
-				}
+			// The window of size k+1 starting at lo ends here.
+			for t, l := range longest {
+				sums[t*nw+wi] += l
+			}
+			counts[wi]++
+			next[wi] += windows[wi]
+			// Move on to the next larger window starting at lo.
+			for wi++; wi <= last && next[wi] != lo; wi++ {
 			}
 		}
 	}

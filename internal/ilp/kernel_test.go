@@ -120,6 +120,46 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// TestProfileWindowsIndependent pins the tiling contract the model set
+// relies on: K(w) measured with a whole ladder, sizes that do not divide
+// the largest included, equals K(w) measured alone, bit for bit, under
+// every table, as does the resolution characteristic.
+func TestProfileWindowsIndependent(t *testing.T) {
+	wc, _ := workload.SuiteConfig("gcc")
+	soa, err := trace.PackReader(workload.MustNew(wc, 30_001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := []Latencies{UnitLatencies(), machineTable()}
+	ladder := []int{2, 3, 4, 8, 16, 32, 64, 96, 128, 200}
+	all, err := Profile(soa, ladder, tables, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allRes, err := ProfileResolution(soa, ladder, tables[1], 4, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ladder {
+		alone, err := Profile(soa, []int{w}, tables, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti := range tables {
+			if got, want := all[ti].K[i], alone[ti].K[0]; got != want {
+				t.Errorf("table %d: K(%d) = %v in the ladder, %v alone", ti, w, got, want)
+			}
+		}
+		res, err := ProfileResolution(soa, []int{w}, tables[1], 4, 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := allRes.K[i], res.K[0]; got != want {
+			t.Errorf("resolution K(%d) = %v in the ladder, %v alone", w, got, want)
+		}
+	}
+}
+
 // TestKernelAllocationsIndependentOfLength pins the kernels' allocation
 // profile: scratch is sized by the window ladder, never by the trace, so a
 // ten times longer trace allocates exactly as often.

@@ -18,30 +18,15 @@ func tableFunc(t Latencies) LatencyFunc {
 	return func(_ int, in *isa.Inst) float64 { return t[in.Class] }
 }
 
-// refProfile is the reference form of Profile for one latency function.
+// refProfile is the reference form of Profile for one latency function:
+// the profiled records are chopped into non-overlapping windows of each
+// size w, starting at records 0, w, 2w, … independently of the other sizes.
 func refProfile(r trace.Reader, windows []int, lat LatencyFunc, maxInsts int) (Characteristic, error) {
 	if err := checkWindows(windows); err != nil {
 		return Characteristic{}, err
 	}
-	largest := windows[len(windows)-1]
-	buf := make([]isa.Inst, 0, largest)
-	sums := make([]float64, len(windows))
-	counts := make([]int, len(windows))
-	total := 0
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
-		for i, w := range windows {
-			// Chop the buffer into non-overlapping windows of size w.
-			for off := 0; off+w <= len(buf); off += w {
-				sums[i] += CriticalPath(buf[off:off+w], lat)
-				counts[i]++
-			}
-		}
-		buf = buf[:0]
-	}
-	for maxInsts <= 0 || total < maxInsts {
+	var buf []isa.Inst
+	for maxInsts <= 0 || len(buf) < maxInsts {
 		in, err := r.Next()
 		if err == io.EOF {
 			break
@@ -50,12 +35,15 @@ func refProfile(r trace.Reader, windows []int, lat LatencyFunc, maxInsts int) (C
 			return Characteristic{}, err
 		}
 		buf = append(buf, in)
-		total++
-		if len(buf) == largest {
-			flush()
+	}
+	sums := make([]float64, len(windows))
+	counts := make([]int, len(windows))
+	for i, w := range windows {
+		for off := 0; off+w <= len(buf); off += w {
+			sums[i] += CriticalPath(buf[off:off+w], lat)
+			counts[i]++
 		}
 	}
-	flush()
 	return characteristic(windows, sums, counts), nil
 }
 

@@ -78,11 +78,6 @@ type Inst struct {
 	Taken  bool // actual direction for Branch (Jump is always taken)
 }
 
-// Reads reports whether i reads register r.
-func (i *Inst) Reads(r int8) bool {
-	return r != NoReg && (i.Src1 == r || i.Src2 == r)
-}
-
 // Writes reports whether i writes register r.
 func (i *Inst) Writes(r int8) bool {
 	return r != NoReg && i.Dst == r

@@ -42,9 +42,6 @@ func TestClassPredicates(t *testing.T) {
 
 func TestReadsWrites(t *testing.T) {
 	in := Inst{Class: IntALU, Src1: 3, Src2: NoReg, Dst: 7}
-	if !in.Reads(3) || in.Reads(7) || in.Reads(NoReg) {
-		t.Errorf("Reads misbehaved: %+v", in)
-	}
 	if !in.Writes(7) || in.Writes(3) || in.Writes(NoReg) {
 		t.Errorf("Writes misbehaved: %+v", in)
 	}

@@ -31,3 +31,13 @@ func SpecFingerprintV(pred bpred.Config, mem icache.HierarchyConfig, vp *vpred.C
 	}
 	return h
 }
+
+// VPredFingerprint names a value-predictor configuration the way an overlay
+// records it in VPredFP: 0 for the classic machine without one (a nil vp),
+// the configuration's fingerprint otherwise.
+func VPredFingerprint(vp *vpred.Config) uint64 {
+	if vp == nil {
+		return 0
+	}
+	return vp.Fingerprint()
+}

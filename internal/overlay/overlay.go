@@ -139,9 +139,9 @@ func VPredEligible(class isa.Class, dst int8) bool {
 // packed trace through a freshly built prediction unit and cache hierarchy,
 // recording every outcome. The access interleaving matches both the
 // trace-driven fetch stage (I-side: one hierarchy access per L1I line
-// crossing) and core.FunctionalProfile (I access before the D or predictor
-// access of the same instruction), which is what makes the overlay exact
-// for both consumers.
+// crossing) and the functional miss-event profile of the analytic model (I
+// access before the D or predictor access of the same instruction), which
+// is what makes the overlay exact for both consumers.
 //
 // The cost is roughly one functional simulation — paid once per (trace,
 // predictor, cache geometry) key and then amortized over every timing
@@ -163,12 +163,10 @@ func ComputeSpec(soa *trace.SoA, pred bpred.Config, mem cache.HierarchyConfig, v
 		return nil, err
 	}
 	var vrun *vpred.Runner
-	var vpredFP uint64
 	if vp != nil {
 		if vrun, err = vpred.NewRunner(*vp); err != nil {
 			return nil, err
 		}
-		vpredFP = vp.Fingerprint()
 	}
 	h := cache.NewHierarchy(mem)
 	lineMask := ^uint64(h.LineSizeI() - 1)
@@ -178,7 +176,7 @@ func ComputeSpec(soa *trace.SoA, pred bpred.Config, mem cache.HierarchyConfig, v
 		Trace:   soa,
 		PredFP:  pred.Fingerprint(),
 		MemFP:   mem.Fingerprint(),
-		VPredFP: vpredFP,
+		VPredFP: VPredFingerprint(vp),
 		Code:    make([]uint8, n),
 	}
 	var curLine uint64

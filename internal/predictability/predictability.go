@@ -297,16 +297,6 @@ func (p *Profile) Summaries() []TaxonSummary {
 	return out
 }
 
-// TotalRedirects returns the subject's frontend redirects over the counted
-// window (conditional branches only).
-func (p *Profile) TotalRedirects() uint64 {
-	var n uint64
-	for i := range p.Branches {
-		n += p.Branches[i].Redirects()
-	}
-	return n
-}
-
 // TotalDirMispredicts returns the subject's direction mispredicts over the
 // counted window.
 func (p *Profile) TotalDirMispredicts() uint64 {

@@ -96,8 +96,12 @@ func TestCollectCountsAndSummaries(t *testing.T) {
 	if sumExecs != execs {
 		t.Errorf("summary execs %d != branch execs %d", sumExecs, execs)
 	}
-	if sumRedirects != p.TotalRedirects() {
-		t.Errorf("summary redirects %d != total %d", sumRedirects, p.TotalRedirects())
+	var redirects uint64
+	for i := range p.Branches {
+		redirects += p.Branches[i].Redirects()
+	}
+	if sumRedirects != redirects {
+		t.Errorf("summary redirects %d != total %d", sumRedirects, redirects)
 	}
 	// The coin-flip branch must dominate subject direction mispredicts
 	// (redirects also count BTB target thrash, which is a separate taxon).

@@ -494,3 +494,66 @@ func refRows(t *testing.T, csv []byte) []SweepPoint {
 	}
 	return rows
 }
+
+// TestSweepJobDropsStaleJournal: a journal whose ID is not the identity its
+// spec resolves to today — here a model-mode job journaled under the key
+// before model_v existed — is dropped on recovery, not resumed, so no CSV
+// mixes rows of two model versions. Resubmitting the spec starts a fresh job
+// under the current identity.
+func TestSweepJobDropsStaleJournal(t *testing.T) {
+	req := testSweep
+	req.Mode = "model"
+	in, err := (&Server{opts: Options{}.withDefaults()}).resolveSweep(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sweepKey(in)
+	oldKey := bytes.Replace(key, []byte(`,"model_v":1`), nil, 1)
+	if bytes.Equal(oldKey, key) {
+		t.Fatalf("model-mode key has no model_v: %s", key)
+	}
+	oldID := jobID("s", oldKey)
+
+	dir := t.TempDir()
+	prep := openTestStore(t, dir)
+	j, _, _, err := prep.OpenJournal(oldID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweepJobSpec{
+		Benchmark: req.Benchmark, Insts: in.insts,
+		Widths: in.widths, Depths: in.depths, ROBs: in.robs, Mode: in.mode,
+	}
+	if _, err := j.Append(store.JournalBegin, mustJSON(spec)); err != nil {
+		t.Fatal(err)
+	}
+	old := SweepPoint{Seq: 0, Width: 2, Depth: 5, ROB: 32, IPC: 1, AvgMispredictPenalty: 10}
+	if _, err := j.Append(store.JournalPoint, mustJSON(old)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	prep.Close()
+
+	st := openTestStore(t, dir)
+	s, ts := newTestServer(t, Options{Workers: 2, Store: st})
+	waitReady(t, s)
+	if n := s.resumedJobs.Load(); n != 0 {
+		t.Fatalf("resumed %d jobs, want the stale journal dropped", n)
+	}
+	if ids, err := st.Journals(); err != nil || len(ids) != 0 {
+		t.Fatalf("journals after recovery: %v (%v), want none", ids, err)
+	}
+	resp := mustGet(t, ts.URL+"/v1/sweepjobs/"+oldID)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("stale job %s: status %d, want 404", oldID, resp.StatusCode)
+	}
+
+	job := decodeBody[JobView](t, postJSON(t, ts.URL+"/v1/sweepjobs", req))
+	if job.ID != jobID("s", key) {
+		t.Fatalf("resubmitted job ID %s, want %s", job.ID, jobID("s", key))
+	}
+	if done := pollSweepJob(t, ts.URL, job.ID); done.Status != JobDone {
+		t.Fatalf("resubmitted job %s: %s", done.Status, done.Error)
+	}
+}

@@ -91,11 +91,20 @@ type sweepKeyDoc struct {
 	VPred     string  `json:"vpred,omitempty"`
 	FetchRate float64 `json:"fetchrate,omitempty"`
 	SpecFP    uint64  `json:"spec_fp"`
+	// ModelV versions the analytic model's results, set in model mode
+	// only: it bumps when the model answers the same inputs differently,
+	// so stored model-mode results miss instead of being served stale,
+	// while sim and sampled keys keep their bytes. Version 1 fits every ROB
+	// size on its own window ladder.
+	ModelV int `json:"model_v,omitempty"`
 }
+
+// modelVersion is the current ModelV of model-mode sweep keys.
+const modelVersion = 1
 
 // sweepKey builds the canonical identity bytes for a resolved sweep.
 func sweepKey(in sweepInputs) []byte {
-	raw, err := json.Marshal(sweepKeyDoc{
+	doc := sweepKeyDoc{
 		V:              keyVersion,
 		Kind:           "sweep",
 		Workload:       in.wc,
@@ -111,7 +120,11 @@ func sweepKey(in sweepInputs) []byte {
 		VPred:          in.vpred,
 		FetchRate:      in.cfg.FetchRate,
 		SpecFP:         overlay.SpecFingerprintV(in.cfg.Pred, in.cfg.Mem, in.cfg.VPred),
-	})
+	}
+	if in.mode == "model" {
+		doc.ModelV = modelVersion
+	}
+	raw, err := json.Marshal(doc)
 	if err != nil {
 		panic(fmt.Sprintf("service: canonical key marshal: %v", err))
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"testing"
@@ -10,10 +11,10 @@ import (
 )
 
 // TestModelSetMemo pins the reuse of analytic model sets through the
-// /metrics model_cache counters: a repeated /v1/model request and a new
-// width hit the memo, a new ROB, warmup, instruction budget, FU latency or
-// cache latency misses it, and a model-mode /v1/sweep of the same family
-// shares it.
+// /metrics model_cache counters: a repeated /v1/model request, a new width
+// and a new ROB size hit the memo, a new warmup, instruction budget, FU
+// latency or cache latency misses it, and a model-mode /v1/sweep of the
+// same family shares it.
 func TestModelSetMemo(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	base := ModelRequest{Benchmark: "gzip", Insts: 30_000, Warmup: 5_000, Machine: MachineSpec{Width: 4, ROB: 128}}
@@ -57,9 +58,9 @@ func TestModelSetMemo(t *testing.T) {
 	expect("new width", true)
 
 	rob := base
-	rob.Machine.ROB = 64
+	rob.Machine.ROB = 96
 	model(rob)
-	expect("new ROB", false)
+	expect("new ROB", true)
 
 	warm := base
 	warm.Warmup = 6_000
@@ -88,10 +89,88 @@ func TestModelSetMemo(t *testing.T) {
 
 	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
 		Benchmark: base.Benchmark, Insts: base.Insts, Warmup: base.Warmup, Mode: "model",
-		Widths: []int{2, 8}, Depths: []int{5}, ROBs: []int{64, 128},
+		Widths: []int{2, 8}, Depths: []int{5}, ROBs: []int{64, 256},
 	})
 	if _, tr := readSweep(t, resp); !tr.Done || tr.OK != 4 {
 		t.Fatalf("model sweep trailer %+v, want 4 points ok", tr)
 	}
-	expect("model-mode sweep sized to ROB 128", true)
+	expect("model-mode sweep of the family", true)
+}
+
+// TestModelMatchesModelSweep: a design point gets one model answer wherever
+// it is asked for. /v1/model on one daemon, asked point by point starting
+// at the smallest ROB, and a model-mode /v1/sweep on another, whose set
+// profiles the largest ROB's ladder up front, must agree bit for bit at
+// every point, ROB sizes off the power-of-two ladder included. A sweep
+// whose ROB axis is {96, 128} must answer every point.
+func TestModelMatchesModelSweep(t *testing.T) {
+	const bench, insts, warmup = "mcf", 30_000, 5_000
+	widths, depths, robs := []int{2, 8}, []int{3, 11}, []int{64, 96, 256}
+
+	_, sweepTS := newTestServer(t, Options{Workers: 2})
+	resp := postJSON(t, sweepTS.URL+"/v1/sweep", SweepRequest{
+		Benchmark: bench, Insts: insts, Warmup: warmup, Mode: "model",
+		Widths: widths, Depths: depths, ROBs: robs,
+	})
+	pts, tr := readSweep(t, resp)
+	if !tr.Done || tr.OK != len(widths)*len(depths)*len(robs) {
+		t.Fatalf("model sweep trailer %+v, want every point ok", tr)
+	}
+
+	_, modelTS := newTestServer(t, Options{Workers: 2})
+	bySeq := map[int]SweepPoint{}
+	for _, pt := range pts {
+		bySeq[pt.Seq] = pt
+	}
+	for _, sp := range Grid(widths, depths, robs) {
+		got := decodeBody[ModelResult](t, postJSON(t, modelTS.URL+"/v1/model", ModelRequest{
+			Benchmark: bench, Insts: insts, Warmup: warmup,
+			Machine: MachineSpec{Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB},
+		}))
+		want, ok := bySeq[sp.Seq]
+		if !ok || want.Error != "" {
+			t.Fatalf("w%d d%d r%d: sweep line %+v", sp.Width, sp.Depth, sp.ROB, want)
+		}
+		if got.IPC != want.IPC || got.AvgMispredictPenalty != want.AvgMispredictPenalty ||
+			got.CPIBase != want.CPIBase || got.CPIBpred != want.CPIBpred ||
+			got.CPIICache != want.CPIICache || got.CPILongData != want.CPILongData ||
+			got.CPIVMisspec != want.CPIVMisspec {
+			t.Errorf("w%d d%d r%d: /v1/model %+v, /v1/sweep %+v", sp.Width, sp.Depth, sp.ROB, got, want)
+		}
+	}
+
+	_, ts := newTestServer(t, Options{Workers: 2})
+	resp = postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
+		Benchmark: bench, Insts: insts, Warmup: warmup, Mode: "model",
+		Widths: []int{4}, Depths: []int{5}, ROBs: []int{96, 128},
+	})
+	if pts, tr := readSweep(t, resp); !tr.Done || tr.OK != 2 {
+		t.Fatalf("model sweep over ROBs {96, 128}: trailer %+v, lines %+v", tr, pts)
+	}
+}
+
+// TestModelSweepKeyVersion: model-mode sweep identities carry the model
+// version, and sim and sampled identities do not, so a change of the model's
+// answers re-keys only model-mode results.
+func TestModelSweepKeyVersion(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown(context.Background()) //nolint:errcheck
+	for _, mode := range []string{"sim", "sampled", "model"} {
+		req := SweepRequest{Benchmark: "gzip", Insts: 20_000, Mode: mode}
+		if mode == "sampled" {
+			req.SampleDetailed, req.SampleSkip = 1_000, 3_000
+		}
+		in, err := s.resolveSweep(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := sweepKey(in)
+		want := []byte(`"model_v":1`)
+		if mode != "model" {
+			want = []byte(`model_v`)
+		}
+		if got := bytes.Contains(key, want); got != (mode == "model") {
+			t.Errorf("%s sweep key contains %s: %v: %s", mode, want, got, key)
+		}
+	}
 }

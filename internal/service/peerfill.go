@@ -295,18 +295,10 @@ func (s *Server) fetchPeerTrace(fp string) *trace.SoA {
 	return nil
 }
 
-// vpredFP names a value-predictor configuration the way overlays do: 0 for
-// the classic vpred-less machine.
-func vpredFP(vp *vpred.Config) uint64 {
-	if vp == nil {
-		return 0
-	}
-	return vp.Fingerprint()
-}
-
 // fetchPeerOverlay tries each known peer for the overlay named fp, and
-// verifies the frame was computed over exactly (traceFP, specFP) — including
-// the value-predictor fingerprint — before attaching it to the local soa.
+// verifies the frame names traceFP and passes overlay.Check against (pred,
+// mem, vp) — fingerprints and the shape of every code byte — before
+// attaching it to the local soa.
 func (s *Server) fetchPeerOverlay(fp, traceFP string, soa *trace.SoA, pred bpred.Config, mem icache.HierarchyConfig, vp *vpred.Config) *overlay.Overlay {
 	peers := s.peers.snapshot()
 	if len(peers) == 0 {
@@ -318,8 +310,7 @@ func (s *Server) fetchPeerOverlay(fp, traceFP string, soa *trace.SoA, pred bpred
 			continue
 		}
 		ov, err := overlay.DecodeWire(body, traceFP, soa)
-		if err != nil || ov.PredFP != pred.Fingerprint() || ov.MemFP != mem.Fingerprint() ||
-			ov.VPredFP != vpredFP(vp) {
+		if err != nil || ov.Check(pred, mem, vp) != nil {
 			s.pf.errors.Add(1)
 			continue
 		}
@@ -364,7 +355,9 @@ func (s *Server) sharedTrace(wc workload.Config, insts int) (*trace.Trace, *trac
 // gracefully to the plain compute-locally path. A nil vp resolves the
 // classic overlay under its historical fingerprint; a value-predicting
 // machine gets its own fleet-wide artifact (v2 wire frames carry VPredFP, so
-// peers exchange these too).
+// peers exchange these too). A push-filled or peer-fetched overlay enters the
+// cache only if it passes overlay.Check; otherwise the overlay is computed
+// locally.
 func (s *Server) overlayFor(soa *trace.SoA, pred bpred.Config, mem icache.HierarchyConfig, vp *vpred.Config) (*overlay.Overlay, error) {
 	traceFP, known := s.fills.traceFPOf(soa)
 	if !known {
@@ -373,8 +366,13 @@ func (s *Server) overlayFor(soa *trace.SoA, pred bpred.Config, mem icache.Hierar
 	fp := overlayFP(traceFP, overlay.SpecFingerprintV(pred, mem, vp))
 	ov, err := s.overlays.GetSpecVia(soa, pred, mem, vp, func() (*overlay.Overlay, error) {
 		if ov := s.fills.getOverlay(fp); ov != nil && ov.Trace == soa {
-			s.pf.overlayFills.Add(1)
-			return ov, nil
+			// A push-fill was filed under the fingerprint its sender named;
+			// only Check ties its bytes to this configuration.
+			if ov.Check(pred, mem, vp) == nil {
+				s.pf.overlayFills.Add(1)
+				return ov, nil
+			}
+			s.pf.errors.Add(1)
 		}
 		if ov := s.fetchPeerOverlay(fp, traceFP, soa, pred, mem, vp); ov != nil {
 			s.pf.overlayFills.Add(1)

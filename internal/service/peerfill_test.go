@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"intervalsim/internal/experiments"
+	"intervalsim/internal/isa"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/uarch"
+	"intervalsim/internal/vpred"
 	"intervalsim/internal/workload"
 )
 
@@ -217,6 +219,59 @@ func TestPeerFillHandlers(t *testing.T) {
 			resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMovedPermanently {
 			t.Fatalf("push under fingerprint %q: status %d, want rejection", fp, resp.StatusCode)
 		}
+	}
+}
+
+// TestPushFilledOverlayChecked: a pushed overlay frame with a valid checksum
+// but impossible contents — a value misspeculation on every store — is
+// filed under its fingerprint, yet never used: overlayFor rejects it with
+// overlay.Check, counts a fill error and computes the overlay locally.
+func TestPushFilledOverlayChecked(t *testing.T) {
+	b, bts := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4)})
+	wc, _ := workload.SuiteConfig("gzip")
+	const insts = 6_000
+	cfg := uarch.Baseline()
+	vp, _ := vpred.Preset("stride")
+	vp.Stream = wc.ValueStream()
+	cfg.VPred = &vp
+
+	_, soa, err := experiments.NewTraceCache(1).Shared(wc, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := overlay.ComputeSpec(soa, cfg.Pred, cfg.Mem, cfg.VPred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *good
+	bad.Code = append([]uint8(nil), good.Code...)
+	for i := range bad.Code {
+		if soa.Class(i) == isa.Store {
+			bad.Code[i] |= overlay.VPredMiss
+		}
+	}
+	traceFP := TraceFingerprint(wc, insts)
+	ovFP := overlayFP(traceFP, overlay.SpecFingerprintV(cfg.Pred, cfg.Mem, cfg.VPred))
+	if resp := postRaw(t, bts.URL+"/v1/cache/trace/"+traceFP, soa.EncodeWire()); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("trace push: status %d", resp.StatusCode)
+	}
+	if resp := postRaw(t, bts.URL+"/v1/cache/overlay/"+ovFP, bad.EncodeWire(traceFP)); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("overlay push: status %d", resp.StatusCode)
+	}
+
+	_, local, err := b.sharedTrace(wc, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.overlayFor(local, cfg.Pred, cfg.Mem, cfg.VPred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Code, good.Code) {
+		t.Fatal("overlayFor used the pushed mutant instead of computing the overlay")
+	}
+	if e, c := b.pf.errors.Load(), b.pf.overlaysComputed.Load(); e != 1 || c != 1 {
+		t.Errorf("fill errors %d, overlays computed %d; want 1 and 1", e, c)
 	}
 }
 

@@ -337,26 +337,24 @@ func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error)
 // modelKey identifies one memoized model set. The overlay pointer fixes the
 // packed trace and the speculation fingerprints; the FU and cache latencies,
 // warmup and instruction budget are the rest of what a set's family shares.
-// maxROB fixes the window ladder every characteristic is profiled over, and
-// the power-law fits depend on the ladder, so a set sized for a larger ROB
-// would not answer exactly as the in-process NewModelSet(…, cfg.ROBSize, …)
-// does.
+// A set answers every ROB size exactly, so the key has no ROB size: a
+// /v1/model request and a model-mode sweep of the same family share one
+// set.
 type modelKey struct {
 	ov     *overlay.Overlay
 	mem    cache.Latencies
 	fu     uarch.PoolLatencies
 	warmup uint64
 	insts  int
-	maxROB int
 }
 
-// modelSet returns the model set of (ov, in's latencies, warmup and insts,
-// maxROB) over ov's trace from the server's bounded single-flight memo,
-// building it on first use. A set is safe for concurrent use and fully
-// determined by its key, so every request and sweep point of the family
-// shares one.
+// modelSet returns the model set of (ov, in's latencies, warmup and insts)
+// over ov's trace from the server's bounded single-flight memo, building it
+// on first use with maxROB as the window ladder it profiles up front. A set
+// is safe for concurrent use and its answers are fully determined by its
+// key, so every request and sweep point of the family shares one.
 func (s *Server) modelSet(ov *overlay.Overlay, in simInputs, maxROB int) (*core.ModelSet, error) {
-	k := modelKey{ov: ov, mem: in.cfg.Mem.Lat, fu: in.cfg.FU.Latencies(), warmup: in.warmup, insts: in.insts, maxROB: maxROB}
+	k := modelKey{ov: ov, mem: in.cfg.Mem.Lat, fu: in.cfg.FU.Latencies(), warmup: in.warmup, insts: in.insts}
 	return s.models.Get(k, func() (*core.ModelSet, error) {
 		return core.NewModelSet(ov.Trace, ov, in.cfg, maxROB, in.warmup, in.insts)
 	})

@@ -156,7 +156,7 @@ type SweepArtifacts struct {
 	Trace   *trace.Trace     // AoS view, for the penalty decomposition
 	SoA     *trace.SoA       // packed trace every point simulates
 	Overlay *overlay.Overlay // nil in sampled mode
-	Models  *core.ModelSet   // model mode only, sized to the largest ROB
+	Models  *core.ModelSet   // model mode only
 }
 
 // artifacts resolves a sweep's shared artifacts once per sweep, and across
@@ -164,8 +164,9 @@ type SweepArtifacts struct {
 // overlay follows the resolved predictor, so every predictor kind gets its
 // own memoized overlay and model. Sampled runs bypass overlay replay by
 // design (precomputed dependences do not apply to fast-forwarded runs), so
-// that mode never computes one. Model mode takes the ModelSet sized to the
-// sweep's largest ROB from the server's model-set memo.
+// that mode never computes one. Model mode takes the family's ModelSet from
+// the server's model-set memo; a set it creates profiles the window ladder
+// of the sweep's largest ROB up front.
 func (s *Server) artifacts(in *sweepInputs) (*SweepArtifacts, error) {
 	tr, soa, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {

@@ -243,8 +243,11 @@ func (s *Server) recoverJournals() {
 			st.RemoveJournal(id) //nolint:errcheck
 			continue
 		}
+		// A spec that no longer resolves, or resolves to another identity
+		// (its results were keyed under an older model version, say), is
+		// dropped: resuming it would mix rows of two answers in one CSV.
 		in, err := s.resolveSweep(spec.request())
-		if err != nil {
+		if err != nil || jobID("s", sweepKey(in)) != id {
 			j.Close()
 			st.RemoveJournal(id) //nolint:errcheck
 			continue

@@ -47,29 +47,6 @@ func tCrit(df int, confidence float64) float64 {
 	return tInf + (t30-tInf)*frac
 }
 
-// MeanCI returns the sample mean of xs and the half-width of the two-sided
-// Student-t confidence interval for the mean at the given confidence level
-// (0.90, 0.95 or 0.99; other values snap to the nearest). Fewer than two
-// observations carry no variance information and yield a zero half-width.
-func MeanCI(xs []float64, confidence float64) (mean, halfWidth float64) {
-	n := len(xs)
-	if n == 0 {
-		return 0, 0
-	}
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	mean = r.Mean()
-	if n < 2 {
-		return mean, 0
-	}
-	// Sample (n-1) variance: Running tracks the population variant.
-	s2 := r.Var() * float64(n) / float64(n-1)
-	se := math.Sqrt(s2 / float64(n))
-	return mean, tCrit(n-1, confidence) * se
-}
-
 // RatioCI returns the ratio estimator R = Σy/Σx over paired observations and
 // the half-width of its two-sided Student-t confidence interval at the given
 // confidence level, using the standard linearized (Taylor) variance of a

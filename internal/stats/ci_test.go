@@ -30,26 +30,6 @@ func TestTCritTableValues(t *testing.T) {
 	}
 }
 
-func TestMeanCI(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	mean, half := MeanCI(xs, 0.95)
-	if mean != 5 {
-		t.Fatalf("mean = %v, want 5", mean)
-	}
-	// Sample stddev is sqrt(32/7); SE = stddev/sqrt(8); t(7, .95) = 2.365.
-	wantHalf := 2.365 * math.Sqrt(32.0/7.0) / math.Sqrt(8)
-	if math.Abs(half-wantHalf) > 1e-9 {
-		t.Fatalf("half-width = %v, want %v", half, wantHalf)
-	}
-
-	if m, h := MeanCI(nil, 0.95); m != 0 || h != 0 {
-		t.Errorf("MeanCI(nil) = %v, %v; want zeros", m, h)
-	}
-	if m, h := MeanCI([]float64{3.5}, 0.95); m != 3.5 || h != 0 {
-		t.Errorf("MeanCI(single) = %v, %v; want 3.5, 0", m, h)
-	}
-}
-
 func TestRatioCICenterIsAggregate(t *testing.T) {
 	// Deliberately unequal units: a tiny unit with an extreme per-unit ratio
 	// must not drag the center away from the aggregate.
@@ -65,17 +45,15 @@ func TestRatioCICenterIsAggregate(t *testing.T) {
 	}
 
 	// With identical unit sizes the ratio estimator reduces to the mean of
-	// per-unit ratios, and its CI must match MeanCI exactly.
+	// the per-unit ratios 2.5, 3, 2.75, 2.25, 3.25 and its Student-t
+	// interval: mean 2.75, sample variance 0.625/4, SE sqrt(variance/5),
+	// t(4, .95) = 2.776.
 	ys = []float64{10, 12, 11, 9, 13}
 	xs = []float64{4, 4, 4, 4, 4}
 	ratio, half = RatioCI(ys, xs, 0.95)
-	perUnit := make([]float64, len(ys))
-	for i := range ys {
-		perUnit[i] = ys[i] / xs[i]
-	}
-	mean, mhalf := MeanCI(perUnit, 0.95)
-	if math.Abs(ratio-mean) > 1e-12 || math.Abs(half-mhalf) > 1e-12 {
-		t.Fatalf("equal-size units: RatioCI = (%v, %v), MeanCI = (%v, %v)", ratio, half, mean, mhalf)
+	wantHalf := 2.776 * math.Sqrt(0.625/4/5)
+	if math.Abs(ratio-2.75) > 1e-12 || math.Abs(half-wantHalf) > 1e-12 {
+		t.Fatalf("equal-size units: RatioCI = (%v, %v), want (2.75, %v)", ratio, half, wantHalf)
 	}
 
 	if r, h := RatioCI(ys, xs[:3], 0.95); r != 0 || h != 0 {

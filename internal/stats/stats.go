@@ -1,6 +1,7 @@
 // Package stats provides the small statistics toolkit used by the
-// experiments: running moments, histograms with linear or logarithmic
-// buckets, and (x, y) series with grouped aggregation.
+// experiments and the service: running means, power-of-two histograms,
+// percentiles, sliding-window quantiles and rates, and Student-t
+// confidence intervals.
 //
 // It exists so experiment code states *what* it measures, not how the
 // bookkeeping works, and so every figure in EXPERIMENTS.md is produced by
@@ -13,13 +14,11 @@ import (
 	"sort"
 )
 
-// Running accumulates count, mean, variance (Welford), min and max of a
-// stream of observations without storing them. The zero value is ready to
-// use.
+// Running accumulates count, mean, min and max of a stream of observations
+// without storing them. The zero value is ready to use.
 type Running struct {
 	n    uint64
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 }
@@ -37,16 +36,7 @@ func (r *Running) Add(x float64) {
 			r.max = x
 		}
 	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// AddN records the same observation n times.
-func (r *Running) AddN(x float64, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		r.Add(x)
-	}
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // Count returns the number of observations.
@@ -58,113 +48,11 @@ func (r *Running) Mean() float64 { return r.mean }
 // Sum returns the total of all observations.
 func (r *Running) Sum() float64 { return r.mean * float64(r.n) }
 
-// Var returns the population variance, or 0 with fewer than 2 observations.
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Stddev returns the population standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Var()) }
-
 // Min returns the smallest observation, or 0 with no observations.
 func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest observation, or 0 with no observations.
 func (r *Running) Max() float64 { return r.max }
-
-// Merge folds other into r as if all of other's observations had been Added.
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	n := r.n + other.n
-	d := other.mean - r.mean
-	mean := r.mean + d*float64(other.n)/float64(n)
-	r.m2 += other.m2 + d*d*float64(r.n)*float64(other.n)/float64(n)
-	r.mean = mean
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	r.n = n
-}
-
-// Histogram counts observations in fixed-width linear buckets, with an
-// overflow bucket for values at or beyond the configured range.
-type Histogram struct {
-	width    float64
-	counts   []uint64
-	overflow uint64
-	total    uint64
-	sum      float64
-}
-
-// NewHistogram returns a histogram of nbuckets buckets of the given width
-// starting at zero. It panics for non-positive shape parameters.
-func NewHistogram(nbuckets int, width float64) *Histogram {
-	if nbuckets <= 0 || width <= 0 {
-		panic("stats: histogram needs positive bucket count and width")
-	}
-	return &Histogram{width: width, counts: make([]uint64, nbuckets)}
-}
-
-// Add records one observation. Negative values clamp into the first bucket.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	i := int(x / h.width)
-	switch {
-	case i < 0:
-		h.counts[0]++
-	case i >= len(h.counts):
-		h.overflow++
-	default:
-		h.counts[i]++
-	}
-}
-
-// Buckets returns the per-bucket counts (excluding overflow).
-func (h *Histogram) Buckets() []uint64 { return h.counts }
-
-// Overflow returns the count of observations beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Mean returns the exact mean of recorded observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// BucketStart returns the lower bound of bucket i.
-func (h *Histogram) BucketStart(i int) float64 { return float64(i) * h.width }
-
-// CDF returns, for each bucket, the fraction of observations with value
-// below the bucket's upper bound. The overflow bucket brings it to 1.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.counts))
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if h.total > 0 {
-			out[i] = float64(cum) / float64(h.total)
-		}
-	}
-	return out
-}
 
 // Log2Histogram counts observations in power-of-two buckets: bucket i holds
 // values v with 2^i <= v < 2^(i+1); bucket 0 also holds v < 1.
@@ -205,64 +93,6 @@ func (h *Log2Histogram) Fraction(i int) float64 {
 		return 0
 	}
 	return float64(h.counts[i]) / float64(h.total)
-}
-
-// Point is one (x, y) pair of a series.
-type Point struct {
-	X, Y float64
-}
-
-// Series is an ordered list of (x, y) points, as plotted in a figure.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
-// GroupedMean aggregates observations keyed by a float x into a Series of
-// (x, mean y), sorted by x. It is the workhorse behind "penalty versus
-// interval length" style figures.
-type GroupedMean struct {
-	groups map[float64]*Running
-}
-
-// NewGroupedMean returns an empty grouped aggregator.
-func NewGroupedMean() *GroupedMean {
-	return &GroupedMean{groups: make(map[float64]*Running)}
-}
-
-// Add records observation y under group x.
-func (g *GroupedMean) Add(x, y float64) {
-	r := g.groups[x]
-	if r == nil {
-		r = &Running{}
-		g.groups[x] = r
-	}
-	r.Add(y)
-}
-
-// Count returns the number of observations in group x.
-func (g *GroupedMean) Count(x float64) uint64 {
-	if r := g.groups[x]; r != nil {
-		return r.Count()
-	}
-	return 0
-}
-
-// Series returns (x, mean) points sorted by x.
-func (g *GroupedMean) Series(name string) Series {
-	xs := make([]float64, 0, len(g.groups))
-	for x := range g.groups {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-	s := Series{Name: name}
-	for _, x := range xs {
-		s.Add(x, g.groups[x].Mean())
-	}
-	return s
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear

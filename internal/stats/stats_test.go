@@ -12,7 +12,7 @@ func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestRunningBasics(t *testing.T) {
 	var r Running
-	if r.Count() != 0 || r.Mean() != 0 || r.Var() != 0 {
+	if r.Count() != 0 || r.Mean() != 0 {
 		t.Fatal("zero value not empty")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -24,111 +24,11 @@ func TestRunningBasics(t *testing.T) {
 	if !almost(r.Mean(), 5, 1e-12) {
 		t.Errorf("mean = %v, want 5", r.Mean())
 	}
-	if !almost(r.Var(), 4, 1e-12) {
-		t.Errorf("var = %v, want 4", r.Var())
-	}
-	if !almost(r.Stddev(), 2, 1e-12) {
-		t.Errorf("stddev = %v, want 2", r.Stddev())
-	}
 	if r.Min() != 2 || r.Max() != 9 {
 		t.Errorf("min/max = %v/%v", r.Min(), r.Max())
 	}
 	if !almost(r.Sum(), 40, 1e-12) {
 		t.Errorf("sum = %v, want 40", r.Sum())
-	}
-}
-
-func TestRunningAddN(t *testing.T) {
-	var a, b Running
-	a.AddN(3, 5)
-	for i := 0; i < 5; i++ {
-		b.Add(3)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() {
-		t.Fatal("AddN differs from repeated Add")
-	}
-}
-
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	f := func(seed uint64, na, nb uint8) bool {
-		s := rng.New(seed)
-		var all, a, b Running
-		for i := 0; i < int(na); i++ {
-			x := s.Float64()*100 - 50
-			all.Add(x)
-			a.Add(x)
-		}
-		for i := 0; i < int(nb); i++ {
-			x := s.Float64()*100 - 50
-			all.Add(x)
-			b.Add(x)
-		}
-		a.Merge(&b)
-		if a.Count() != all.Count() {
-			return false
-		}
-		if all.Count() == 0 {
-			return true
-		}
-		return almost(a.Mean(), all.Mean(), 1e-9) &&
-			almost(a.Var(), all.Var(), 1e-9) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 2) // buckets [0,2) [2,4) ... [18,20), overflow >= 20
-	for _, x := range []float64{0, 1.9, 2, 5, 19.9, 20, 100, -3} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-	b := h.Buckets()
-	if b[0] != 3 { // 0, 1.9 and clamped -3
-		t.Errorf("bucket 0 = %d, want 3", b[0])
-	}
-	if b[1] != 1 || b[2] != 1 || b[9] != 1 {
-		t.Errorf("buckets = %v", b)
-	}
-	if h.Overflow() != 2 {
-		t.Errorf("overflow = %d, want 2", h.Overflow())
-	}
-	if h.BucketStart(3) != 6 {
-		t.Errorf("BucketStart(3) = %v", h.BucketStart(3))
-	}
-	cdf := h.CDF()
-	if cdf[9] <= cdf[0] || cdf[9] > 1 {
-		t.Errorf("cdf = %v", cdf)
-	}
-}
-
-func TestHistogramMeanExact(t *testing.T) {
-	h := NewHistogram(4, 1)
-	xs := []float64{0.5, 1.5, 2.5, 9}
-	var sum float64
-	for _, x := range xs {
-		h.Add(x)
-		sum += x
-	}
-	if !almost(h.Mean(), sum/4, 1e-12) {
-		t.Errorf("mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, c := range []struct{ n, w int }{{0, 1}, {1, 0}, {-1, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%d, %d) did not panic", c.n, c.w)
-				}
-			}()
-			NewHistogram(c.n, float64(c.w))
-		}()
 	}
 }
 
@@ -151,36 +51,6 @@ func TestLog2Histogram(t *testing.T) {
 	}
 	if !almost(h.Fraction(0), 2.0/7, 1e-12) {
 		t.Errorf("fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestGroupedMean(t *testing.T) {
-	g := NewGroupedMean()
-	g.Add(2, 10)
-	g.Add(2, 20)
-	g.Add(1, 5)
-	g.Add(8, 40)
-	if g.Count(2) != 2 || g.Count(99) != 0 {
-		t.Errorf("counts wrong")
-	}
-	s := g.Series("x")
-	if s.Name != "x" || len(s.Points) != 3 {
-		t.Fatalf("series = %+v", s)
-	}
-	want := []Point{{1, 5}, {2, 15}, {8, 40}}
-	for i, p := range want {
-		if s.Points[i] != p {
-			t.Errorf("point %d = %v, want %v", i, s.Points[i], p)
-		}
-	}
-}
-
-func TestSeriesAdd(t *testing.T) {
-	var s Series
-	s.Add(1, 2)
-	s.Add(3, 4)
-	if len(s.Points) != 2 || s.Points[1] != (Point{3, 4}) {
-		t.Errorf("series = %+v", s)
 	}
 }
 

@@ -287,7 +287,7 @@ func newSimulator(soa *trace.SoA, cfg Config, opts Options) (*simulator, error) 
 			s.noteFallback("overlay ignored: computed for a different trace")
 		case ov.PredFP != cfg.Pred.Fingerprint() || ov.MemFP != cfg.Mem.Fingerprint():
 			s.noteFallback("overlay ignored: predictor/cache-geometry fingerprint mismatch")
-		case ov.VPredFP != vpredFingerprint(cfg.VPred):
+		case ov.VPredFP != overlay.VPredFingerprint(cfg.VPred):
 			s.noteFallback("overlay ignored: value-predictor fingerprint mismatch")
 		default:
 			s.ov = ov

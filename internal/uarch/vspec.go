@@ -1,17 +1,5 @@
 package uarch
 
-import "intervalsim/internal/vpred"
-
-// vpredFingerprint names the machine's value-predictor configuration the
-// way overlays do: 0 for the classic vpred-less machine, the config's
-// canonical fingerprint otherwise. Overlay replay requires an exact match.
-func vpredFingerprint(vp *vpred.Config) uint64 {
-	if vp == nil {
-		return 0
-	}
-	return vp.Fingerprint()
-}
-
 // confEstimator is a JRS-style (Jacobsen/Rotenberg/Smith) branch confidence
 // estimator: a table of 4-bit resetting counters indexed by branch PC. A
 // correct prediction increments the branch's counter, a misprediction

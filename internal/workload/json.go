@@ -33,10 +33,3 @@ func ParseConfig(r io.Reader) (Config, error) {
 	}
 	return c, nil
 }
-
-// EncodeConfig writes c as indented JSON, the inverse of ParseConfig.
-func EncodeConfig(w io.Writer, c Config) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}

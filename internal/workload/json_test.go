@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 func TestConfigJSONRoundTrip(t *testing.T) {
 	orig := testConfig()
 	var buf bytes.Buffer
-	if err := EncodeConfig(&buf, orig); err != nil {
+	if err := json.NewEncoder(&buf).Encode(orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ParseConfig(&buf)
