@@ -18,7 +18,6 @@ import (
 	"intervalsim/internal/cache"
 	"intervalsim/internal/core"
 	"intervalsim/internal/experiments"
-	"intervalsim/internal/ilp"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/predictability"
 	"intervalsim/internal/trace"
@@ -337,16 +336,36 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-func BenchmarkCriticalPath(b *testing.B) {
-	wc, _ := workload.SuiteConfig("crafty")
-	tr, err := trace.ReadAll(workload.MustNew(wc, 4096))
-	if err != nil {
-		b.Fatal(err)
-	}
-	window := tr.Insts[:128]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ilp.CriticalPathTo(window, ilp.UnitLatency)
+// decomposeSink keeps BenchmarkDecompose's results live.
+var decomposeSink []core.Breakdown
+
+// BenchmarkDecompose measures the per-misprediction penalty decomposition:
+// one DecomposeAll over a recorded 200k-instruction run of the baseline
+// machine per op, the work every decomposing sweep point adds to its
+// simulation.
+func BenchmarkDecompose(b *testing.B) {
+	for _, bench := range []string{"gzip", "mcf"} {
+		b.Run(bench, func(b *testing.B) {
+			wc, _ := workload.SuiteConfig(bench)
+			tr, err := trace.ReadAll(workload.MustNew(wc, 200_000))
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := uarch.Run(trace.Pack(tr).Reader(), uarch.Baseline(), uarch.Options{RecordMispredicts: true, RecordLoadLevels: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			dec, err := core.NewDecomposer(tr, res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decomposeSink = dec.DecomposeAll()
+			}
+			b.ReportMetric(float64(len(res.Records))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command bench runs a pinned simulator workload matrix and reports
-// throughput (inst/s), steady-state heap allocations per run, and CPI for
-// each point, writing the results as JSON for CI artifact upload and
-// benchstat-style regression tracking.
+// throughput (inst/s), steady-state heap allocations per run, CPI, and the
+// time to decompose every misprediction penalty for each point, writing the
+// results as JSON for CI artifact upload and benchstat-style regression
+// tracking.
 //
 // The matrix is fixed on purpose: the same benchmarks, instruction counts,
 // and configurations every run, so numbers are comparable across commits.
@@ -60,6 +61,12 @@ type benchPoint struct {
 	CPI          float64 `json:"cpi"`
 	IPC          float64 `json:"ipc"`
 	Cycles       uint64  `json:"cycles"`
+	// DecomposeMS is the best of Runs timings of the penalty decomposition
+	// (core.Decomposer.DecomposeAll) of the Records mispredictions of one
+	// run recording them and its load levels, as decomposing sweeps run.
+	// InstPerS is measured without that recording.
+	DecomposeMS float64 `json:"decompose_ms"`
+	Records     int     `json:"records"`
 }
 
 // sweepBench is the sweep-level metric: the wall-clock of an entire
@@ -258,23 +265,23 @@ func run(quick bool, runs int, stdout io.Writer) (*benchReport, error) {
 	cfg := uarch.Baseline()
 	rep := &benchReport{Quick: quick, GoVersion: runtime.Version(), Config: cfg.Name}
 
-	fmt.Fprintf(stdout, "%-10s %-8s %12s %14s %8s\n", "benchmark", "path", "Minst/s", "allocs/run", "CPI")
+	fmt.Fprintf(stdout, "%-10s %-8s %12s %14s %8s %13s\n", "benchmark", "path", "Minst/s", "allocs/run", "CPI", "decompose ms")
 	for _, name := range benches {
 		wc, ok := workload.SuiteConfig(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		soa, err := trace.PackReader(workload.MustNew(wc, insts))
+		tr, err := trace.ReadAll(workload.MustNew(wc, insts))
 		if err != nil {
 			return nil, err
 		}
-		pt, err := measure(name, soa, cfg, runs)
+		pt, err := measure(name, tr, cfg, runs)
 		if err != nil {
 			return nil, err
 		}
 		rep.Points = append(rep.Points, *pt)
-		fmt.Fprintf(stdout, "%-10s %-8s %12.2f %14d %8.3f\n",
-			pt.Benchmark, pt.Path, pt.InstPerS/1e6, pt.AllocsPerRun, pt.CPI)
+		fmt.Fprintf(stdout, "%-10s %-8s %12.2f %14d %8.3f %13.2f\n",
+			pt.Benchmark, pt.Path, pt.InstPerS/1e6, pt.AllocsPerRun, pt.CPI, pt.DecomposeMS)
 	}
 	preds, err := measurePredictors(quick, runs, stdout)
 	if err != nil {
@@ -596,7 +603,10 @@ func sampledPhases(quick bool) (detailed, skip uint64) {
 // measure runs one matrix point `runs` times and keeps the best throughput
 // (least-interfered run) with the mean allocation count. A warmup run is
 // excluded so one-time pool growth doesn't count against steady state.
-func measure(bench string, soa *trace.SoA, cfg uarch.Config, runs int) (*benchPoint, error) {
+// It then decomposes the mispredictions of one recorded run `runs` times
+// and keeps the fastest.
+func measure(bench string, tr *trace.Trace, cfg uarch.Config, runs int) (*benchPoint, error) {
+	soa := trace.Pack(tr)
 	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{}) // warmup, excluded
 	if err != nil {
 		return nil, err
@@ -618,7 +628,7 @@ func measure(bench string, soa *trace.SoA, cfg uarch.Config, runs int) (*benchPo
 			best = ips
 		}
 	}
-	return &benchPoint{
+	pt := &benchPoint{
 		Benchmark:    bench,
 		Path:         res.Path,
 		Insts:        res.Insts,
@@ -628,7 +638,24 @@ func measure(bench string, soa *trace.SoA, cfg uarch.Config, runs int) (*benchPo
 		CPI:          res.CPI(),
 		IPC:          res.IPC(),
 		Cycles:       res.Cycles,
-	}, nil
+	}
+	rec, err := uarch.Run(soa.Reader(), cfg, uarch.Options{RecordMispredicts: true, RecordLoadLevels: true})
+	if err != nil {
+		return nil, err
+	}
+	dec, err := core.NewDecomposer(tr, rec)
+	if err != nil {
+		return nil, err
+	}
+	pt.Records = len(rec.Records)
+	for i := 0; i < runs; i++ {
+		t0 := time.Now()
+		dec.DecomposeAll()
+		if ms := float64(time.Since(t0)) / float64(time.Millisecond); i == 0 || ms < pt.DecomposeMS {
+			pt.DecomposeMS = ms
+		}
+	}
+	return pt, nil
 }
 
 // measurePredictors times every stateful predictor preset over the crafty

@@ -42,6 +42,9 @@ func TestQuickRun(t *testing.T) {
 		if pt.Insts == 0 || pt.Cycles == 0 {
 			t.Errorf("%s/%s: empty run (insts=%d cycles=%d)", pt.Benchmark, pt.Path, pt.Insts, pt.Cycles)
 		}
+		if pt.Records <= 0 || pt.DecomposeMS <= 0 {
+			t.Errorf("%s/%s: decomposition not measured (%d records in %v ms)", pt.Benchmark, pt.Path, pt.Records, pt.DecomposeMS)
+		}
 	}
 	// The sweep metric: all three engines timed, replay cycle-exactness
 	// enforced inside measureSweep, overlay computed exactly once.

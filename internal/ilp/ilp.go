@@ -1,14 +1,13 @@
 // Package ilp analyzes the inherent instruction-level parallelism of a
-// dynamic instruction stream through dependence-graph critical paths.
+// packed dynamic instruction stream through dependence-graph critical paths.
 //
-// Two of the paper's five misprediction-penalty contributors live here:
-// the inherent ILP of the program (the unit-latency critical path of the
-// instructions in the window when a mispredicted branch enters it) and the
-// amplification of that path by functional-unit and short-miss latencies.
-// The package also measures the program's ILP characteristic K(w) — the
-// mean critical path over windows of w instructions — with the power-law
-// fit K(w) ≈ (w/α)^(1/β) used by first-order superscalar models, which the
-// analytic interval model in package core consumes.
+// It measures the program's ILP characteristic K(w) — the mean critical
+// path over windows of w instructions — with the power-law fit
+// K(w) ≈ (w/α)^(1/β) used by first-order superscalar models, and the
+// branch-resolution characteristic, the drain curve a mispredicted branch
+// sees. The analytic interval model in package core consumes both. The
+// critical paths of each measured misprediction's own window, the paper's
+// inherent-ILP and latency contributors, are computed by core.Decomposer.
 package ilp
 
 import (
@@ -18,75 +17,6 @@ import (
 	"intervalsim/internal/isa"
 	"intervalsim/internal/trace"
 )
-
-// LatencyFunc assigns an execution latency (in cycles) to an instruction;
-// idx is the instruction's position within the slice being analyzed, letting
-// callers key latencies off side tables (e.g. observed per-load cache
-// levels). Fractional values are allowed so expected-value latencies (e.g.
-// an average short-miss uplift on loads) can be modeled.
-type LatencyFunc func(idx int, in *isa.Inst) float64
-
-// UnitLatency treats every instruction as single-cycle: the latency function
-// of the paper's "inherent ILP" contributor.
-func UnitLatency(int, *isa.Inst) float64 { return 1 }
-
-// CriticalPath returns the longest dependence chain through insts under lat,
-// honoring register read-after-write dependences and store→load forwarding
-// on exact word addresses. An empty slice yields 0.
-func CriticalPath(insts []isa.Inst, lat LatencyFunc) float64 {
-	_, max := pathDepths(insts, lat)
-	return max
-}
-
-// CriticalPathTo returns the length of the longest dependence chain ending
-// at the last instruction of insts — the resolution time of a branch sitting
-// at the end of the window. An empty slice yields 0.
-func CriticalPathTo(insts []isa.Inst, lat LatencyFunc) float64 {
-	depths, _ := pathDepths(insts, lat)
-	if len(depths) == 0 {
-		return 0
-	}
-	return depths[len(depths)-1]
-}
-
-// pathDepths returns, for each instruction, the earliest completion time of
-// its dependence chain (its "depth"), plus the maximum depth.
-func pathDepths(insts []isa.Inst, lat LatencyFunc) ([]float64, float64) {
-	if len(insts) == 0 {
-		return nil, 0
-	}
-	depths := make([]float64, len(insts))
-	var regDepth [isa.NumRegs]float64
-	storeDepth := make(map[uint64]float64)
-	var maxDepth float64
-	for i := range insts {
-		in := &insts[i]
-		var ready float64
-		if r := in.Src1; r != isa.NoReg && regDepth[r] > ready {
-			ready = regDepth[r]
-		}
-		if r := in.Src2; r != isa.NoReg && regDepth[r] > ready {
-			ready = regDepth[r]
-		}
-		if in.Class == isa.Load {
-			if d, ok := storeDepth[in.Addr/8]; ok && d > ready {
-				ready = d
-			}
-		}
-		d := ready + lat(i, in)
-		depths[i] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-		if in.Dst != isa.NoReg {
-			regDepth[in.Dst] = d
-		}
-		if in.Class == isa.Store {
-			storeDepth[in.Addr/8] = d
-		}
-	}
-	return depths, maxDepth
-}
 
 // Characteristic is a program's ILP profile: the mean unit-latency critical
 // path K(w) over windows of w consecutive instructions, together with the
@@ -146,11 +76,10 @@ func (c Characteristic) EvalInterp(w int) float64 {
 // Latencies is a per-class execution-latency table: entry c is the latency
 // in cycles of an instruction of class c. Fractional values are allowed so
 // expected-value latencies (e.g. an average short-miss uplift on loads) can
-// be modeled. The profiling passes take tables rather than a LatencyFunc
-// because the latencies they model depend on the class alone.
+// be modeled.
 type Latencies [isa.NumClasses]float64
 
-// UnitLatencies is the table of UnitLatency: every class takes one cycle.
+// UnitLatencies is the unit-latency table: every class takes one cycle.
 func UnitLatencies() Latencies {
 	var t Latencies
 	for c := range t {

@@ -13,6 +13,75 @@ import (
 // register array and a store map, independently of the packed trace's
 // precomputed producer indices.
 
+// LatencyFunc assigns an execution latency (in cycles) to an instruction;
+// idx is the instruction's position within the slice being analyzed, letting
+// callers key latencies off side tables (e.g. observed per-load cache
+// levels). Fractional values are allowed so expected-value latencies (e.g.
+// an average short-miss uplift on loads) can be modeled.
+type LatencyFunc func(idx int, in *isa.Inst) float64
+
+// UnitLatency treats every instruction as single-cycle: the latency function
+// of the paper's "inherent ILP" contributor.
+func UnitLatency(int, *isa.Inst) float64 { return 1 }
+
+// CriticalPath returns the longest dependence chain through insts under lat,
+// honoring register read-after-write dependences and store→load forwarding
+// on exact word addresses. An empty slice yields 0.
+func CriticalPath(insts []isa.Inst, lat LatencyFunc) float64 {
+	_, max := pathDepths(insts, lat)
+	return max
+}
+
+// CriticalPathTo returns the length of the longest dependence chain ending
+// at the last instruction of insts — the resolution time of a branch sitting
+// at the end of the window. An empty slice yields 0.
+func CriticalPathTo(insts []isa.Inst, lat LatencyFunc) float64 {
+	depths, _ := pathDepths(insts, lat)
+	if len(depths) == 0 {
+		return 0
+	}
+	return depths[len(depths)-1]
+}
+
+// pathDepths returns, for each instruction, the earliest completion time of
+// its dependence chain (its "depth"), plus the maximum depth.
+func pathDepths(insts []isa.Inst, lat LatencyFunc) ([]float64, float64) {
+	if len(insts) == 0 {
+		return nil, 0
+	}
+	depths := make([]float64, len(insts))
+	var regDepth [isa.NumRegs]float64
+	storeDepth := make(map[uint64]float64)
+	var maxDepth float64
+	for i := range insts {
+		in := &insts[i]
+		var ready float64
+		if r := in.Src1; r != isa.NoReg && regDepth[r] > ready {
+			ready = regDepth[r]
+		}
+		if r := in.Src2; r != isa.NoReg && regDepth[r] > ready {
+			ready = regDepth[r]
+		}
+		if in.Class == isa.Load {
+			if d, ok := storeDepth[in.Addr/8]; ok && d > ready {
+				ready = d
+			}
+		}
+		d := ready + lat(i, in)
+		depths[i] = d
+		if d > maxDepth {
+			maxDepth = d
+		}
+		if in.Dst != isa.NoReg {
+			regDepth[in.Dst] = d
+		}
+		if in.Class == isa.Store {
+			storeDepth[in.Addr/8] = d
+		}
+	}
+	return depths, maxDepth
+}
+
 // tableFunc adapts a per-class latency table to the LatencyFunc form.
 func tableFunc(t Latencies) LatencyFunc {
 	return func(_ int, in *isa.Inst) float64 { return t[in.Class] }

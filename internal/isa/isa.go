@@ -78,11 +78,6 @@ type Inst struct {
 	Taken  bool // actual direction for Branch (Jump is always taken)
 }
 
-// Writes reports whether i writes register r.
-func (i *Inst) Writes(r int8) bool {
-	return r != NoReg && i.Dst == r
-}
-
 // Validate checks structural well-formedness of the record and returns a
 // descriptive error for the first violation found. Traces read from disk are
 // validated record by record so corrupt inputs fail loudly instead of

@@ -40,13 +40,6 @@ func TestClassPredicates(t *testing.T) {
 	}
 }
 
-func TestReadsWrites(t *testing.T) {
-	in := Inst{Class: IntALU, Src1: 3, Src2: NoReg, Dst: 7}
-	if !in.Writes(7) || in.Writes(3) || in.Writes(NoReg) {
-		t.Errorf("Writes misbehaved: %+v", in)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	valid := []Inst{
 		{PC: 0x1000, Class: IntALU, Src1: 1, Src2: 2, Dst: 3},
