@@ -601,8 +601,10 @@ func sampledPhases(quick bool) (detailed, skip uint64) {
 }
 
 // measure runs one matrix point `runs` times and keeps the best throughput
-// (least-interfered run) with the mean allocation count. A warmup run is
-// excluded so one-time pool growth doesn't count against steady state.
+// (least-interfered run) and the fewest allocations a run made: the
+// allocation count is read process-wide, so a stray runtime allocation can
+// only add to it. A warmup run is excluded so one-time pool growth doesn't
+// count against steady state.
 // It then decomposes the mispredictions of one recorded run `runs` times
 // and keeps the fastest.
 func measure(bench string, tr *trace.Trace, cfg uarch.Config, runs int) (*benchPoint, error) {
@@ -612,7 +614,7 @@ func measure(bench string, tr *trace.Trace, cfg uarch.Config, runs int) (*benchP
 		return nil, err
 	}
 	var best float64
-	var allocs uint64
+	allocs := uint64(math.MaxUint64)
 	var ms0, ms1 runtime.MemStats
 	for i := 0; i < runs; i++ {
 		runtime.ReadMemStats(&ms0)
@@ -623,7 +625,7 @@ func measure(bench string, tr *trace.Trace, cfg uarch.Config, runs int) (*benchP
 		}
 		dur := time.Since(t0)
 		runtime.ReadMemStats(&ms1)
-		allocs += ms1.Mallocs - ms0.Mallocs
+		allocs = min(allocs, ms1.Mallocs-ms0.Mallocs)
 		if ips := float64(res.Insts) / dur.Seconds(); ips > best {
 			best = ips
 		}
@@ -634,7 +636,7 @@ func measure(bench string, tr *trace.Trace, cfg uarch.Config, runs int) (*benchP
 		Insts:        res.Insts,
 		Runs:         runs,
 		InstPerS:     best,
-		AllocsPerRun: allocs / uint64(runs),
+		AllocsPerRun: allocs,
 		CPI:          res.CPI(),
 		IPC:          res.IPC(),
 		Cycles:       res.Cycles,

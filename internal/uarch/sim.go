@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"intervalsim/internal/bpred"
 	"intervalsim/internal/cache"
@@ -65,16 +66,27 @@ const noDep = int64(-1)
 
 // robEntry is one in-flight instruction. Its sequence number equals its
 // dynamic trace index (dispatch order under sampling), so slot = seq %
-// ROBSize. The entry carries only what the backend stages touch — deps,
-// completion time, class, and address — so a slot stays within one cache
-// line instead of dragging the full 40-byte isa.Inst through the scheduler.
+// ROBSize. The entry carries only what the backend stages touch — wakeup
+// state, completion time, class, and address — so a slot stays within one
+// cache line instead of dragging the full 40-byte isa.Inst through the
+// scheduler.
+//
+// Wakeup state: pend counts the operand producers that had not issued when
+// the entry dispatched and have not issued since; readyAt is the latest
+// doneAt of the producers that have. The entry waits on each unissued
+// producer through a link, one per operand (0, 1 = registers, 2 = memory):
+// a producer's waiters heads the list of its consumers' links, and a
+// consumer's next[k] continues the list it joined for operand k, each link
+// encoded as slot<<2 | k, -1 ending the list. When pend is 0 the entry is
+// scheduled (its bit is set in simulator.sched) and issues from readyAt on.
 type robEntry struct {
-	dep1    int64 // producer sequence numbers, noDep if none
-	dep2    int64
-	depMem  int64  // youngest in-flight store to the same word (loads only)
 	seq     uint64 // sequence number (= trace index when not sampling)
 	doneAt  uint64
+	readyAt uint64
 	addr    uint64 // effective address for loads/stores
+	waiters int32
+	next    [3]int32
+	pend    uint8
 	class   isa.Class
 	issued  bool
 	redirct bool // this is the pending mispredicted control instruction
@@ -152,12 +164,13 @@ type simulator struct {
 	robSize  int32
 	unissued int // issue-queue occupancy
 
-	// Unissued entries as a singly linked list of ROB slots in sequence
-	// order: issue visits exactly the instructions still waiting instead of
-	// rescanning the whole window every cycle.
-	unissuedHead int32
-	unissuedTail int32
-	unissuedNext []int32
+	// Scheduled entries (issue on wakeup): bit slot of sched is set while
+	// the entry in that slot is unissued with every producer issued, so
+	// issue visits only entries that can issue once readyAt comes.
+	// schedLo is a lower bound on the scheduled entries' readyAt,
+	// math.MaxUint64 when none is scheduled.
+	sched   []uint64
+	schedLo uint64
 
 	// Live dependence tracking, used only when preDeps is false: sequence
 	// numbers of fast-forwarded runs are dispatch slots, not trace indices.
@@ -257,9 +270,8 @@ func newSimulator(soa *trace.SoA, cfg Config, opts Options) (*simulator, error) 
 		limit:         uint64(soa.Len()),
 		rob:           make([]robEntry, cfg.ROBSize),
 		robSize:       int32(cfg.ROBSize),
-		unissuedHead:  -1,
-		unissuedTail:  -1,
-		unissuedNext:  make([]int32, cfg.ROBSize),
+		sched:         make([]uint64, (cfg.ROBSize+63)/64),
+		schedLo:       math.MaxUint64,
 		fq:            make([]fqEntry, fqCap),
 		pendingResume: -1,
 		res:           &Result{Config: cfg, Path: "soa"},
@@ -374,6 +386,10 @@ const ctxPollMask = 0x3ff
 // reproduce exactly.
 var skipDeadCycles = true
 
+// issueSelect, when set, replaces issue: only tests set it, to the
+// operand-polling scan that issue on wakeup must reproduce exactly.
+var issueSelect func(*simulator) int
+
 func (s *simulator) run(ctx context.Context) (*Result, error) {
 	s.noProgress = s.opts.NoProgressCycles
 	if s.noProgress == 0 {
@@ -477,9 +493,11 @@ func (s *simulator) skipDead(stall *uint64) {
 }
 
 // horizon returns the earliest cycle after the current one at which a dead
-// machine can change: the ROB head completing, an unissued instruction
-// becoming issuable (wakeAt), the frontend-queue head reaching dispatch, or
-// fetch resuming. It returns math.MaxUint64 when there is no such cycle.
+// machine can change: the ROB head completing, a scheduled instruction
+// reaching its readyAt or, once ready, a unit of its pool freeing up, the
+// frontend-queue head reaching dispatch, or fetch resuming. An unscheduled
+// instruction waits on an unissued producer, whose issue comes first. It
+// returns math.MaxUint64 when there is no such cycle.
 func (s *simulator) horizon() uint64 {
 	now := s.cycle
 	h := uint64(math.MaxUint64)
@@ -498,32 +516,19 @@ func (s *simulator) horizon() uint64 {
 		at(s.fetchResumeAt)
 	}
 	// now+1 is the earliest horizon there can be: stop once it is found.
-	for slot := s.unissuedHead; slot >= 0 && h > now+1; slot = s.unissuedNext[slot] {
-		at(s.wakeAt(&s.rob[slot]))
+	for i, w := range s.sched {
+		for ; w != 0 && h > now+1; w &= w - 1 {
+			e := &s.rob[i<<6|bits.TrailingZeros64(w)]
+			if e.readyAt > now {
+				at(e.readyAt)
+				continue
+			}
+			for _, freeAt := range s.fus[s.poolByClass[e.class]] {
+				at(freeAt)
+			}
+		}
 	}
 	return h
-}
-
-// wakeAt returns the cycle at which the unissued entry e can next try to
-// issue: when the first operand it still waits on is produced or, with all
-// operands ready, when a unit of its pool frees up. It returns 0 when that
-// operand's producer has not issued yet: the producer's own issue, a live
-// cycle, comes first.
-func (s *simulator) wakeAt(e *robEntry) uint64 {
-	for _, dep := range [...]int64{e.dep1, e.dep2, e.depMem} {
-		if dep < 0 || s.depReady(dep) {
-			continue
-		}
-		if p := &s.rob[s.robSlot(uint64(dep))]; p.issued {
-			return p.doneAt
-		}
-		return 0
-	}
-	t := uint64(math.MaxUint64)
-	for _, freeAt := range s.fus[s.poolByClass[e.class]] {
-		t = min(t, freeAt)
-	}
-	return t
 }
 
 // finalize assembles the Result after the last step reported completion.
@@ -668,125 +673,170 @@ func (s *simulator) robSlot(seq uint64) int32 {
 	return slot
 }
 
-// depReady reports whether the producer with sequence number dep has its
-// result available at the current cycle.
-func (s *simulator) depReady(dep int64) bool {
-	if dep < 0 || uint64(dep) < s.head {
-		return true // no dependence, or producer already committed
+// issue sends up to IssueWidth ready instructions to free functional units
+// and returns how many it issued. Its candidates are the scheduled entries,
+// those whose producers have all issued: it walks them oldest first,
+// circularly from headSlot, and issues each whose readyAt has come and whose
+// pool has a free unit, so an older entry blocked on its pool does not block
+// a younger one of another pool. While schedLo, the lower bound on the
+// scheduled entries' readyAt, is still ahead, nothing can issue and it
+// returns at once.
+func (s *simulator) issue() int {
+	if issueSelect != nil {
+		return issueSelect(s)
 	}
-	e := &s.rob[s.robSlot(uint64(dep))]
-	if e.vpredOK {
-		// Correctly value-predicted producer: its result was available at
-		// dispatch, so consumers never wait on it.
-		return true
+	now := s.cycle
+	if s.schedLo > now {
+		return 0
 	}
-	return e.issued && e.doneAt <= s.cycle
+	// The walk rebuilds the bound from the entries it leaves scheduled;
+	// wakeups during the walk lower s.schedLo themselves.
+	lo := uint64(math.MaxUint64)
+	s.schedLo = math.MaxUint64
+	issued := 0
+	n := len(s.sched)
+	hw := int(s.headSlot >> 6)
+	above := ^uint64(0) << (uint(s.headSlot) & 63) // slots from headSlot on in word hw
+	for k := 0; k <= n; k++ {
+		i := hw + k
+		if i >= n {
+			i -= n
+		}
+		w := s.sched[i]
+		switch k {
+		case 0:
+			w &= above
+		case n:
+			w &^= above
+		}
+		for ; w != 0; w &= w - 1 {
+			slot := int32(i<<6 | bits.TrailingZeros64(w))
+			e := &s.rob[slot]
+			if e.readyAt > now {
+				lo = min(lo, e.readyAt)
+				continue
+			}
+			unit := s.freeUnit(e.class)
+			if unit < 0 {
+				lo = min(lo, e.readyAt) // structural hazard: retry next cycle
+				continue
+			}
+			s.issueOn(slot, unit)
+			if issued++; issued == s.cfg.IssueWidth {
+				s.schedLo = 0 // the entries after this one were not visited
+				return issued
+			}
+		}
+	}
+	s.schedLo = min(s.schedLo, lo)
+	return issued
 }
 
-// issue sends up to IssueWidth ready instructions to free functional units
-// and returns how many it issued.
-func (s *simulator) issue() int {
-	issued := 0
-	prev := int32(-1)
-	for slot := s.unissuedHead; slot >= 0 && issued < s.cfg.IssueWidth; {
-		e := &s.rob[slot]
-		next := s.unissuedNext[slot]
-		// A ready producer stays ready, so a satisfied dependence is cleared
-		// in place: entries blocked on one long-pole producer stop
-		// re-checking the others every cycle.
-		if e.dep1 >= 0 {
-			if !s.depReady(e.dep1) {
-				prev, slot = slot, next
-				continue
-			}
-			e.dep1 = noDep
+// freeUnit returns a unit of class's pool that can accept an operation this
+// cycle, or -1 when every unit is busy.
+func (s *simulator) freeUnit(class isa.Class) int {
+	for u, freeAt := range s.fus[s.poolByClass[class]] {
+		if freeAt <= s.cycle {
+			return u
 		}
-		if e.dep2 >= 0 {
-			if !s.depReady(e.dep2) {
-				prev, slot = slot, next
-				continue
-			}
-			e.dep2 = noDep
-		}
-		if e.depMem >= 0 {
-			if !s.depReady(e.depMem) {
-				prev, slot = slot, next
-				continue
-			}
-			e.depMem = noDep
-		}
-		pool := s.poolByClass[e.class]
-		unit := -1
-		for u, freeAt := range s.fus[pool] {
-			if freeAt <= s.cycle {
-				unit = u
-				break
-			}
-		}
-		if unit < 0 {
-			prev, slot = slot, next
-			continue // structural hazard
-		}
-		lat := s.latByClass[e.class]
-		switch e.class {
-		case isa.Load:
-			lvl, l := s.mem.Data(e.addr)
-			lat = uint64(l)
-			s.c.loadsExecuted++
-			if s.opts.RecordLoadLevels {
-				for uint64(len(s.res.LoadLevels)) <= e.seq {
-					s.res.LoadLevels = append(s.res.LoadLevels, 0)
-				}
-				s.res.LoadLevels[e.seq] = uint8(lvl) + 1
-			}
-			switch lvl {
-			case cache.ShortMiss:
-				s.c.shortDMisses++
-			case cache.LongMiss:
-				s.c.longDMisses++
-				s.event(EvLongDMiss, e.seq, lvl)
-			}
-		case isa.Store:
-			s.mem.Data(e.addr) // allocate + stats; retires via store buffer
-		}
-		e.doneAt = s.cycle + lat
-		e.issued = true
-		s.unissued--
-		if s.pipelined[pool] {
-			s.fus[pool][unit] = s.cycle + 1
-		} else {
-			s.fus[pool][unit] = e.doneAt
-		}
-		if e.redirct || e.vflush {
-			// The mispredicted control instruction — or the value-
-			// misspeculated producer — resolves: fetch restarts down the
-			// correct path when it completes. Value flushes never touch the
-			// pending MispredictRecord; that bookkeeping belongs to the last
-			// branch alone.
-			s.awaitResolve = false
-			s.fetchResumeAt = e.doneAt
-			if e.redirct && s.pendingResume >= 0 && s.opts.RecordMispredicts {
-				rec := &s.res.Records[s.pendingResume]
-				rec.IssueCycle = s.cycle
-				rec.ResolveCycle = e.doneAt
-			}
-		}
-		if e.lowConf {
-			s.lowConfOut--
-		}
-		issued++
-		// Unlink the issued entry; prev stays put.
-		if prev >= 0 {
-			s.unissuedNext[prev] = next
-		} else {
-			s.unissuedHead = next
-		}
-		if next < 0 {
-			s.unissuedTail = prev
-		}
-		slot = next
 	}
-	return issued
+	return -1
+}
+
+// issueOn issues the entry in slot on unit of its pool: it executes the
+// operation (a load's latency comes from the data cache), books the unit,
+// resolves a pending redirect or value flush, and wakes the entry's
+// waiters, scheduling each whose last unissued producer this was. Every
+// latency is at least 1, so a waiter woken in this cycle has a readyAt
+// after it and cannot issue before the next one.
+func (s *simulator) issueOn(slot int32, unit int) {
+	e := &s.rob[slot]
+	pool := s.poolByClass[e.class]
+	lat := s.latByClass[e.class]
+	switch e.class {
+	case isa.Load:
+		lvl, l := s.mem.Data(e.addr)
+		lat = uint64(l)
+		s.c.loadsExecuted++
+		if s.opts.RecordLoadLevels {
+			// The capacity, s.limit, exceeds every sequence number, and
+			// the bytes a reslice exposes are still zero.
+			if n := e.seq + 1; n > uint64(len(s.res.LoadLevels)) {
+				s.res.LoadLevels = s.res.LoadLevels[:n]
+			}
+			s.res.LoadLevels[e.seq] = uint8(lvl) + 1
+		}
+		switch lvl {
+		case cache.ShortMiss:
+			s.c.shortDMisses++
+		case cache.LongMiss:
+			s.c.longDMisses++
+			s.event(EvLongDMiss, e.seq, lvl)
+		}
+	case isa.Store:
+		s.mem.Data(e.addr) // allocate + stats; retires via store buffer
+	}
+	e.doneAt = s.cycle + lat
+	e.issued = true
+	s.unissued--
+	s.sched[slot>>6] &^= 1 << (slot & 63)
+	if s.pipelined[pool] {
+		s.fus[pool][unit] = s.cycle + 1
+	} else {
+		s.fus[pool][unit] = e.doneAt
+	}
+	if e.redirct || e.vflush {
+		// The mispredicted control instruction — or the value-
+		// misspeculated producer — resolves: fetch restarts down the
+		// correct path when it completes. Value flushes never touch the
+		// pending MispredictRecord; that bookkeeping belongs to the last
+		// branch alone.
+		s.awaitResolve = false
+		s.fetchResumeAt = e.doneAt
+		if e.redirct && s.pendingResume >= 0 && s.opts.RecordMispredicts {
+			rec := &s.res.Records[s.pendingResume]
+			rec.IssueCycle = s.cycle
+			rec.ResolveCycle = e.doneAt
+		}
+	}
+	if e.lowConf {
+		s.lowConfOut--
+	}
+	for l := e.waiters; l >= 0; {
+		c := &s.rob[l>>2]
+		c.readyAt = max(c.readyAt, e.doneAt)
+		if c.pend--; c.pend == 0 {
+			s.schedule(l>>2, c.readyAt)
+		}
+		l = c.next[l&3]
+	}
+}
+
+// schedule makes the entry in slot, whose producers have all issued, a
+// candidate for issue from readyAt on.
+func (s *simulator) schedule(slot int32, readyAt uint64) {
+	s.sched[slot>>6] |= 1 << (slot & 63)
+	s.schedLo = min(s.schedLo, readyAt)
+}
+
+// await makes the entry e, just dispatched, wait for dep (a sequence
+// number, or noDep), the producer of the operand that link (slot<<2 | k)
+// names. A producer that has committed, or whose result was value-predicted,
+// is not waited on; one that has issued raises e.readyAt to its doneAt; one
+// that has not issued yet takes e into its waiters.
+func (s *simulator) await(e *robEntry, link int32, dep int64) {
+	if dep < 0 || uint64(dep) < s.head {
+		return
+	}
+	switch p := &s.rob[s.robSlot(uint64(dep))]; {
+	case p.vpredOK:
+	case p.issued:
+		e.readyAt = max(e.readyAt, p.doneAt)
+	default:
+		e.pend++
+		e.next[link&3] = p.waiters
+		p.waiters = link
+	}
 }
 
 // dispatch moves up to DispatchWidth instructions from the frontend queue
@@ -819,24 +869,25 @@ func (s *simulator) dispatch() *uint64 {
 		seq := s.tail
 		slot := s.tailSlot
 		e := &s.rob[slot]
-		*e = robEntry{seq: seq, addr: f.addr, class: f.class, dep1: noDep, dep2: noDep, depMem: noDep}
+		*e = robEntry{seq: seq, addr: f.addr, class: f.class, waiters: -1}
+		p1, p2, pm := noDep, noDep, noDep
 		if s.preDeps {
 			// Dependence metadata was computed once at pack time; sequence
 			// numbers equal trace indices here, so the indices line up.
-			e.dep1 = int64(s.soa.Dep1[f.idx])
-			e.dep2 = int64(s.soa.Dep2[f.idx])
-			e.depMem = int64(s.soa.DepMem[f.idx])
+			p1 = int64(s.soa.Dep1[f.idx])
+			p2 = int64(s.soa.Dep2[f.idx])
+			pm = int64(s.soa.DepMem[f.idx])
 		} else {
 			if r := f.src1; r != isa.NoReg {
-				e.dep1 = s.producerOf(r)
+				p1 = s.producerOf(r)
 			}
 			if r := f.src2; r != isa.NoReg {
-				e.dep2 = s.producerOf(r)
+				p2 = s.producerOf(r)
 			}
 			switch f.class {
 			case isa.Load:
 				if p, ok := s.storeProd[f.addr/8]; ok {
-					e.depMem = int64(p)
+					pm = int64(p)
 				}
 			case isa.Store:
 				s.storeProd[f.addr/8] = seq
@@ -845,6 +896,9 @@ func (s *simulator) dispatch() *uint64 {
 				s.regProducer[d] = int64(seq)
 			}
 		}
+		s.await(e, slot<<2, p1)
+		s.await(e, slot<<2|1, p2)
+		s.await(e, slot<<2|2, pm)
 
 		// Close out the previous misprediction's penalty window: the first
 		// instruction dispatched after the mispredicted branch is the first
@@ -902,14 +956,9 @@ func (s *simulator) dispatch() *uint64 {
 			s.tailSlot = 0
 		}
 		s.unissued++
-		// Append to the unissued list (slots arrive in sequence order).
-		s.unissuedNext[slot] = -1
-		if s.unissuedTail >= 0 {
-			s.unissuedNext[s.unissuedTail] = slot
-		} else {
-			s.unissuedHead = slot
+		if e.pend == 0 {
+			s.schedule(slot, e.readyAt)
 		}
-		s.unissuedTail = slot
 		n++
 	}
 	if n == 0 && s.fqLen == 0 {

@@ -5,6 +5,7 @@ import (
 
 	"intervalsim/internal/cache"
 	"intervalsim/internal/isa"
+	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/workload"
 )
@@ -384,5 +385,40 @@ func TestWrongPathFetchPollutesICache(t *testing.T) {
 	ratio := on.CPI() / off.CPI()
 	if ratio < 0.8 || ratio > 1.3 {
 		t.Errorf("wrong-path fetch moved CPI by %.2fx; model suspicious", ratio)
+	}
+}
+
+// TestRunAllocations pins what a run allocates: the simulator sizes its
+// pools from the machine once, before the first cycle, so a run of 200K
+// instructions allocates exactly what a run of 20K does, and no more than
+// the 51 objects of the baseline machine, live or replayed.
+func TestRunAllocations(t *testing.T) {
+	const maxAllocs = 51
+	cfg := Baseline()
+	counts := map[string][]float64{}
+	for _, n := range []int{20_000, 200_000} {
+		soa := packedTrace(t, "mcf", n)
+		ov, err := overlay.ComputeSpec(soa, cfg.Pred, cfg.Mem, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{{"live", Options{}}, {"replay", Options{Overlay: ov}}} {
+			// Ten runs: a runtime allocation during one of them (a GC
+			// worker's sudog, a new OS thread) rounds away in the average.
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := Run(soa.Reader(), cfg, mode.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			counts[mode.name] = append(counts[mode.name], allocs)
+		}
+	}
+	for mode, c := range counts {
+		if c[0] != c[1] || c[1] > maxAllocs {
+			t.Errorf("%s: %v allocations at 20K instructions, %v at 200K; want equal and at most %d", mode, c[0], c[1], maxAllocs)
+		}
 	}
 }

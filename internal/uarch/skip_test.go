@@ -11,7 +11,7 @@ import (
 )
 
 // onLoop runs fn on the production loop (skip true: dead cycles skipped) or
-// on the one-cycle-at-a-time reference loop (skip false).
+// on the one-cycle-at-a-time loop (skip false). Both issue on wakeup.
 func onLoop(skip bool, fn func()) {
 	if !skip {
 		skipDeadCycles = false
@@ -20,12 +20,59 @@ func onLoop(skip bool, fn func()) {
 	fn()
 }
 
-// sameError requires two runs to fail alike: both succeed, or both fail
-// with the same text, cycle numbers included.
-func sameError(t *testing.T, ref, got error) {
+// onReference runs fn on the reference the production loop must reproduce:
+// the one-cycle-at-a-time loop, issuing by scanIssue when scan is set and on
+// wakeup otherwise. scanIssue reads dependences by trace index, so only runs
+// that are not fast-forwarded can take it.
+func onReference(scan bool, fn func()) {
+	if scan {
+		issueSelect = scanIssue
+		defer func() { issueSelect = nil }()
+	}
+	onLoop(false, fn)
+}
+
+// scanIssue is the issue stage that issue on wakeup replaced, kept as its
+// reference: every cycle it polls the operands of each unissued in-flight
+// entry, oldest first, and issues — through the production issueOn — up to
+// IssueWidth entries whose pool has a free unit and whose producers have
+// each committed, been value-predicted, or issued with their doneAt reached.
+// It reads the producers from the packed trace's Dep1/Dep2/DepMem at the
+// entry's sequence number.
+func scanIssue(s *simulator) int {
+	ready := func(dep int32) bool {
+		if dep < 0 || uint64(dep) < s.head {
+			return true
+		}
+		p := &s.rob[s.robSlot(uint64(dep))]
+		return p.vpredOK || p.issued && p.doneAt <= s.cycle
+	}
+	issued := 0
+	// left counts the unissued entries not visited yet: none is younger.
+	for seq, left := s.head, s.unissued; left > 0 && issued < s.cfg.IssueWidth; seq++ {
+		slot := s.robSlot(seq)
+		e := &s.rob[slot]
+		if e.issued {
+			continue
+		}
+		left--
+		if !ready(s.soa.Dep1[seq]) || !ready(s.soa.Dep2[seq]) || !ready(s.soa.DepMem[seq]) {
+			continue
+		}
+		if unit := s.freeUnit(e.class); unit >= 0 {
+			s.issueOn(slot, unit)
+			issued++
+		}
+	}
+	return issued
+}
+
+// sameError requires a production run to fail like the run named what:
+// both succeed, or both fail with the same text, cycle numbers included.
+func sameError(t *testing.T, what string, ref, got error) {
 	t.Helper()
 	if (ref == nil) != (got == nil) || (ref != nil && ref.Error() != got.Error()) {
-		t.Fatalf("error: reference loop %v, skipping loop %v", ref, got)
+		t.Fatalf("error: %s %v, production %v", what, ref, got)
 	}
 }
 
@@ -56,10 +103,14 @@ func skipConfigs(wc workload.Config) []Config {
 }
 
 // TestDeadCycleSkipMatchesReference is the contract behind dead-cycle
-// skipping: the skipping loop must reproduce the one-cycle reference loop
-// exactly — every counter, stall bucket, event, record, timeline entry and
-// load level, or the same error text when a watchdog fires — for every
-// suite program, machine and option set, live and replayed.
+// skipping and issue on wakeup: the production loop must reproduce the
+// reference exactly — every counter, stall bucket, event, record, timeline
+// entry and load level, or the same error text when a watchdog fires — for
+// every suite program, machine and option set, live and replayed. The
+// reference simulates every cycle and, unless the run is fast-forwarded,
+// issues by the operand-polling scan; fast-forwarded (sampled) runs number
+// their entries by dispatch slot, which the scan cannot read dependences
+// by, so their reference issues on wakeup.
 func TestDeadCycleSkipMatchesReference(t *testing.T) {
 	programs := workload.Suite()
 	if raceEnabled {
@@ -86,9 +137,9 @@ func TestDeadCycleSkipMatchesReference(t *testing.T) {
 				t.Run(wc.Name+"/"+cfg.Name+"/"+oname, func(t *testing.T) {
 					var ref *Result
 					var refErr error
-					onLoop(false, func() { ref, refErr = Run(soa.Reader(), cfg, o) })
+					onReference(!o.fastForwarded(), func() { ref, refErr = Run(soa.Reader(), cfg, o) })
 					got, err := Run(soa.Reader(), cfg, o)
-					sameError(t, refErr, err)
+					sameError(t, "reference loop", refErr, err)
 					if err != nil {
 						return
 					}
@@ -145,23 +196,31 @@ func TestCycleAccountingIdentity(t *testing.T) {
 					if res.Cycles >= timeline {
 						t.Fatalf("run of %d cycles outgrew the %d-cycle timeline", res.Cycles, timeline)
 					}
-					if uint64(len(res.Timeline)) != res.Cycles {
-						t.Fatalf("timeline has %d entries for %d cycles", len(res.Timeline), res.Cycles)
-					}
-					var dispatching uint64
-					for _, n := range res.Timeline {
-						if n > 0 {
-							dispatching++
-						}
-					}
-					st := res.Stalls
-					stalled := st.BranchResolve + st.Refill + st.ICacheMiss + st.ROBFull + st.IQFull + st.Other
-					if dispatching+stalled != res.Cycles {
-						t.Errorf("%d dispatching + %d stalled cycles != %d cycles (stalls %+v)",
-							dispatching, stalled, res.Cycles, st)
-					}
+					checkCycleAccounting(t, res)
 				})
 			}
 		}
+	}
+}
+
+// checkCycleAccounting requires every cycle of res, a run without warmup
+// whose timeline covers all its cycles, to have dispatched or been charged
+// to exactly one stall bucket.
+func checkCycleAccounting(t *testing.T, res *Result) {
+	t.Helper()
+	if uint64(len(res.Timeline)) != res.Cycles {
+		t.Fatalf("timeline has %d entries for %d cycles", len(res.Timeline), res.Cycles)
+	}
+	var dispatching uint64
+	for _, n := range res.Timeline {
+		if n > 0 {
+			dispatching++
+		}
+	}
+	st := res.Stalls
+	stalled := st.BranchResolve + st.Refill + st.ICacheMiss + st.ROBFull + st.IQFull + st.Other
+	if dispatching+stalled != res.Cycles {
+		t.Errorf("%d dispatching + %d stalled cycles != %d cycles (stalls %+v)",
+			dispatching, stalled, res.Cycles, st)
 	}
 }

@@ -20,15 +20,17 @@ func testTraceReader(t *testing.T, name string, insts int) *workload.Generator {
 	return workload.MustNew(wc, insts)
 }
 
-// watchdogParity runs a failing simulation on the reference loop and on the
-// skipping loop and requires the same error text from both: watchdog errors
-// name cycles and commit counts that skipping dead cycles must not move.
+// watchdogParity runs a failing simulation on the reference (one cycle at a
+// time, issuing by the operand-polling scan) and on the production loop and
+// requires the same error text from both: watchdog errors name cycles and
+// commit counts that skipping dead cycles and issuing on wakeup must not
+// move.
 func watchdogParity(t *testing.T, run func() error) error {
 	t.Helper()
 	var ref error
-	onLoop(false, func() { ref = run() })
+	onReference(true, func() { ref = run() })
 	err := run()
-	sameError(t, ref, err)
+	sameError(t, "reference loop", ref, err)
 	return err
 }
 
