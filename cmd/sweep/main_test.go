@@ -259,7 +259,8 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestSampledMode exercises the sampling engine end to end: sampled CSV
 // schema, deterministic under parallelism, well-ordered confidence bounds,
-// and no overlay computed (sampled runs bypass replay by design).
+// no overlay computed (sampled runs bypass replay by design) and no
+// fallback reported (sampled runs read the precomputed dependences).
 func TestSampledMode(t *testing.T) {
 	args := func(j string) []string {
 		return sweepArgs("-mode", "sampled", "-sample-detailed", "500", "-sample-skip", "1500", "-j", j)
@@ -296,13 +297,11 @@ func TestSampledMode(t *testing.T) {
 			t.Errorf("row %q units = %v, want about (12000-2000)/2000 = 5", l, units)
 		}
 	}
-	// Every point runs live (the sampled path rejects replay), and no
-	// overlay is ever computed for the grid.
-	if !strings.Contains(se, "simulator paths: 27×soa") || strings.Contains(se, "soa+overlay") {
-		t.Errorf("stderr paths = %q, want 27×soa live runs", se)
-	}
-	if !strings.Contains(se, "fallback: sampled run") {
-		t.Errorf("stderr missing the sampled-run fallback provenance: %q", se)
+	// Every point runs live on the packed trace (the sampled path rejects
+	// replay) with nothing bypassed, and no overlay is ever computed for
+	// the grid.
+	if !strings.Contains(se, "simulator paths: 27×soa\n") || strings.Contains(se, "fallback") {
+		t.Errorf("stderr = %q, want 27×soa live runs and no fallback", se)
 	}
 	// The shared overlay cache is process-global, so compare against the
 	// pre-test snapshot: both sampled sweeps must leave it untouched.

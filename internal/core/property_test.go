@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -67,7 +66,7 @@ func randomConfigs(seed uint64) []uarch.Config {
 // runs on. The Frontend term must equal each configuration's own pipeline
 // depth. A sampled run of every configuration must keep its extrapolation
 // bookkeeping self-consistent: ordered CPI bounds, a unit-mean CPI close to
-// the aggregate sampled CPI, and the dependence fallback reported.
+// the aggregate sampled CPI, and the packed-trace path with no fallback.
 func TestDecompositionIdentityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		wc := propWorkload(seed)
@@ -118,8 +117,9 @@ func TestDecompositionIdentityProperty(t *testing.T) {
 				return false
 			}
 			st := sampled.Sample
-			if !sampled.Sampled || st == nil || !strings.Contains(sampled.Fallback, "sampled run") {
-				t.Logf("seed %d %s: sampled result lacks SampleStats or its fallback (%q)", seed, cfg.Name, sampled.Fallback)
+			if !sampled.Sampled || st == nil || sampled.Path != "soa" || sampled.Fallback != "" {
+				t.Logf("seed %d %s: sampled result lacks SampleStats, or took path %q with fallback %q",
+					seed, cfg.Name, sampled.Path, sampled.Fallback)
 				return false
 			}
 			if !(st.CPI.Lower <= st.CPI.Mean && st.CPI.Mean <= st.CPI.Upper) {

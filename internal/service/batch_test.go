@@ -104,9 +104,8 @@ func TestBatchModelMode(t *testing.T) {
 }
 
 // TestBatchSampledCarriesCI: sampled batch points carry the ratio-estimator
-// CPI interval and the per-point fallback provenance explaining that replay
-// was bypassed — the CI fields a distributed sampled sweep's CSV is built
-// from.
+// CPI interval — the CI fields a distributed sampled sweep's CSV is built
+// from — and the live packed-trace path with no fallback.
 func TestBatchSampledCarriesCI(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 
@@ -133,8 +132,8 @@ func TestBatchSampledCarriesCI(t *testing.T) {
 		if pt.SampleUnits < 10 || pt.SampleUnits > 11 {
 			t.Errorf("seq %d units = %d, want about 10", pt.Seq, pt.SampleUnits)
 		}
-		if pt.Path != "soa" || !strings.Contains(pt.Fallback, "sampled") {
-			t.Errorf("seq %d path/fallback = %q/%q, want a live run with sampled-fallback provenance",
+		if pt.Path != "soa" || pt.Fallback != "" {
+			t.Errorf("seq %d path/fallback = %q/%q, want a live run with no fallback",
 				pt.Seq, pt.Path, pt.Fallback)
 		}
 		if pt.AvgPenalty != 0 || pt.PenFrontend != 0 {

@@ -496,21 +496,32 @@ func refRows(t *testing.T, csv []byte) []SweepPoint {
 }
 
 // TestSweepJobDropsStaleJournal: a journal whose ID is not the identity its
-// spec resolves to today — here a model-mode job journaled under the key
-// before model_v existed — is dropped on recovery, not resumed, so no CSV
-// mixes rows of two model versions. Resubmitting the spec starts a fresh job
-// under the current identity.
+// spec resolves to today — here a model-mode or sampled-mode job journaled
+// under the key before model_v or sampled_v existed — is dropped on
+// recovery, not resumed, so no CSV mixes rows of two engine versions.
+// Resubmitting the spec starts a fresh job under the current identity.
 func TestSweepJobDropsStaleJournal(t *testing.T) {
+	for _, mode := range []string{"model", "sampled"} {
+		t.Run(mode, func(t *testing.T) { checkDropsStaleJournal(t, mode) })
+	}
+}
+
+// checkDropsStaleJournal runs TestSweepJobDropsStaleJournal in one mode.
+func checkDropsStaleJournal(t *testing.T, mode string) {
 	req := testSweep
-	req.Mode = "model"
+	req.Mode = mode
+	if mode == "sampled" {
+		req.SampleDetailed, req.SampleSkip = 500, 1_500
+	}
 	in, err := (&Server{opts: Options{}.withDefaults()}).resolveSweep(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := sweepKey(in)
-	oldKey := bytes.Replace(key, []byte(`,"model_v":1`), nil, 1)
+	version := map[string]string{"model": `,"model_v":1`, "sampled": `,"sampled_v":1`}[mode]
+	oldKey := bytes.Replace(key, []byte(version), nil, 1)
 	if bytes.Equal(oldKey, key) {
-		t.Fatalf("model-mode key has no model_v: %s", key)
+		t.Fatalf("%s-mode key has no %s: %s", mode, version, key)
 	}
 	oldID := jobID("s", oldKey)
 
@@ -523,6 +534,7 @@ func TestSweepJobDropsStaleJournal(t *testing.T) {
 	spec := sweepJobSpec{
 		Benchmark: req.Benchmark, Insts: in.insts,
 		Widths: in.widths, Depths: in.depths, ROBs: in.robs, Mode: in.mode,
+		SampleDetailed: in.sampleDetailed, SampleSkip: in.sampleSkip,
 	}
 	if _, err := j.Append(store.JournalBegin, mustJSON(spec)); err != nil {
 		t.Fatal(err)

@@ -150,8 +150,9 @@ func TestModelMatchesModelSweep(t *testing.T) {
 }
 
 // TestModelSweepKeyVersion: model-mode sweep identities carry the model
-// version, and sim and sampled identities do not, so a change of the model's
-// answers re-keys only model-mode results.
+// version and sampled-mode ones the sampled version, and sim identities
+// carry neither, so a change of one engine's answers re-keys only its own
+// results.
 func TestModelSweepKeyVersion(t *testing.T) {
 	s := New(Options{})
 	defer s.Shutdown(context.Background()) //nolint:errcheck
@@ -165,12 +166,14 @@ func TestModelSweepKeyVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := sweepKey(in)
-		want := []byte(`"model_v":1`)
-		if mode != "model" {
-			want = []byte(`model_v`)
-		}
-		if got := bytes.Contains(key, want); got != (mode == "model") {
-			t.Errorf("%s sweep key contains %s: %v: %s", mode, want, got, key)
+		for _, v := range []struct{ mode, field string }{{"model", "model_v"}, {"sampled", "sampled_v"}} {
+			want := []byte(`"` + v.field + `":1`)
+			if mode != v.mode {
+				want = []byte(v.field)
+			}
+			if got := bytes.Contains(key, want); got != (mode == v.mode) {
+				t.Errorf("%s sweep key contains %s: %v: %s", mode, want, got, key)
+			}
 		}
 	}
 }

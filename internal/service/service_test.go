@@ -452,8 +452,8 @@ func TestSweepSampledMode(t *testing.T) {
 		if pt.SampleUnits < 10 || pt.SampleUnits > 11 {
 			t.Errorf("seq %d units = %d, want about 10", pt.Seq, pt.SampleUnits)
 		}
-		if pt.Path != "soa" || !strings.Contains(pt.Fallback, "sampled") {
-			t.Errorf("seq %d path/fallback = %q/%q, want live run with sampled provenance", pt.Seq, pt.Path, pt.Fallback)
+		if pt.Path != "soa" || pt.Fallback != "" {
+			t.Errorf("seq %d path/fallback = %q/%q, want a live run with no fallback", pt.Seq, pt.Path, pt.Fallback)
 		}
 	}
 	m := decodeBody[MetricsResponse](t, mustGet(t, ts.URL+"/metrics"))

@@ -1,7 +1,6 @@
 package uarch
 
 import (
-	"context"
 	"testing"
 
 	"intervalsim/internal/isa"
@@ -16,7 +15,8 @@ import (
 //   - the production loop (dead cycles skipped, issue on wakeup) equals the
 //     one-cycle loop issuing by the operand-polling scan, or, for
 //     fast-forwarded runs, the one-cycle loop issuing on wakeup;
-//   - precomputed dependences equal live tracking (unsampled runs);
+//   - precomputed dependences, mapped to dispatch sequence numbers when
+//     the run fast-forwards, equal the last writers of what it dispatched;
 //   - overlay replay equals live simulation (a run the overlay does not
 //     apply to falls back to live simulation and must equal it too);
 //   - every cycle either dispatched or was charged to one stall bucket.
@@ -51,15 +51,10 @@ func FuzzSimulatorReferences(f *testing.F) {
 		onReference(!opts.fastForwarded(), func() { ref, refErr = Run(soa.Reader(), cfg, opts) })
 		sameRun(t, "reference loop", ref, refErr, got, err)
 
-		if !opts.fastForwarded() {
-			s, serr := newSimulator(soa, cfg, opts)
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			s.preDeps = false
-			live, lerr := s.run(context.Background())
-			sameRun(t, "live dependences", live, lerr, got, err)
-		}
+		var live *Result
+		var lerr error
+		onLastWriters(func() { live, lerr = Run(soa.Reader(), cfg, opts) })
+		sameRun(t, "live dependences", live, lerr, got, err)
 
 		ov, oerr := overlay.ComputeSpec(soa, cfg.Pred, cfg.Mem, cfg.VPred)
 		if oerr != nil {

@@ -231,9 +231,8 @@ type Result struct {
 	// bypassed fast path is visible instead of just slow.
 	Path string
 	// Fallback explains every fast path this run bypassed and why (empty
-	// when nothing was bypassed): a sampled run falling back to live
-	// dependence tracking, a rejected overlay. Multiple reasons are joined
-	// with "; ".
+	// when nothing was bypassed): a rejected overlay, and why it was
+	// rejected. Multiple reasons are joined with "; ".
 	Fallback string
 
 	// Sampled is set when the run used sampled simulation; Insts and Cycles
