@@ -21,8 +21,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"intervalsim/internal/cache"
 	"intervalsim/internal/stats"
@@ -44,35 +45,61 @@ type Interval struct {
 func (iv Interval) Len() uint64 { return iv.End - iv.Start }
 
 // Segment partitions an execution of totalInsts instructions into intervals
-// using the recorded miss events. Events are sorted by instruction index;
-// multiple events on one instruction (e.g. an I-cache miss while fetching a
-// branch that then mispredicts) collapse into one boundary, keeping the
-// highest-priority kind (mispredict > value-misspec > I-cache > long
-// D-miss). The returned intervals exactly tile [0, totalInsts).
+// using the recorded miss events, given in any order. The events of one
+// instruction (e.g. an I-cache miss while fetching a branch that then
+// mispredicts) collapse into one boundary, of the event boundary picks. The
+// returned intervals exactly tile [0, totalInsts).
 func Segment(events []uarch.MissEvent, totalInsts uint64) ([]Interval, error) {
-	evs := append([]uarch.MissEvent(nil), events...)
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].Index != evs[j].Index {
-			return evs[i].Index < evs[j].Index
-		}
-		return eventPriority(evs[i].Kind) > eventPriority(evs[j].Kind)
-	})
+	evs := inIndexOrder(events)
 	var out []Interval
 	var start uint64
-	for i, ev := range evs {
+	for i := 0; i < len(evs); {
+		ev, next := boundary(evs, i)
 		if ev.Index >= totalInsts {
-			return nil, fmt.Errorf("%w: event index %d beyond trace length %d", ErrBadInput, ev.Index, totalInsts)
-		}
-		if i > 0 && ev.Index == evs[i-1].Index {
-			continue // collapsed boundary
+			return nil, beyondTrace(ev.Index, totalInsts)
 		}
 		out = append(out, Interval{Start: start, End: ev.Index + 1, Kind: ev.Kind, Level: ev.Level})
 		start = ev.Index + 1
+		i = next
 	}
 	if start < totalInsts {
 		out = append(out, Interval{Start: start, End: totalInsts, Final: true})
 	}
 	return out, nil
+}
+
+// inIndexOrder returns events in index order: events itself when it already
+// is, as every profile built from an overlay is, and otherwise a copy sorted
+// stably by index, so the events of one instruction keep their stream order.
+// The cycle-level simulator records long D-misses at issue, out of order.
+func inIndexOrder(events []uarch.MissEvent) []uarch.MissEvent {
+	for i := 1; i < len(events); i++ {
+		if events[i].Index < events[i-1].Index {
+			evs := slices.Clone(events)
+			slices.SortStableFunc(evs, func(a, b uarch.MissEvent) int { return cmp.Compare(a.Index, b.Index) })
+			return evs
+		}
+	}
+	return events
+}
+
+// boundary is the boundary rule of Segment and PredictCPI. Of the events on
+// the instruction of evs[i] — evs[i:next] in an index-ordered stream — it
+// returns the one that ends the interval there: the first of the highest
+// priority (mispredict > value-misspec > I-cache > long D-miss).
+func boundary(evs []uarch.MissEvent, i int) (ev uarch.MissEvent, next int) {
+	ev = evs[i]
+	for next = i + 1; next < len(evs) && evs[next].Index == ev.Index; next++ {
+		if eventPriority(evs[next].Kind) > eventPriority(ev.Kind) {
+			ev = evs[next]
+		}
+	}
+	return ev, next
+}
+
+// beyondTrace is the error of an event at or past the end of the trace.
+func beyondTrace(index, totalInsts uint64) error {
+	return fmt.Errorf("%w: event index %d beyond trace length %d", ErrBadInput, index, totalInsts)
 }
 
 func eventPriority(k uarch.EventKind) int {

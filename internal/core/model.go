@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"intervalsim/internal/cache"
 	"intervalsim/internal/ilp"
@@ -156,17 +158,18 @@ func (b CPIBreakdown) CPI() float64 {
 	return b.Total() / float64(b.Insts)
 }
 
-// PredictCPI evaluates the interval model over a functional profile.
+// PredictCPI evaluates the interval model over a functional profile, in one
+// pass over its events in index order (a profile built from an overlay is in
+// that order; any other stream is sorted into a copy first). The events of
+// one instruction form one interval boundary, under the rule Segment uses.
 func (m *Model) PredictCPI(p *Profile) (CPIBreakdown, error) {
-	intervals, err := Segment(p.Events, p.Insts)
-	if err != nil {
-		return CPIBreakdown{}, err
-	}
+	evs := inIndexOrder(p.Events)
 	b := CPIBreakdown{Insts: p.Insts - p.Warmup}
 	dEff := m.effectiveDispatch(p)
 	b.Base = float64(b.Insts) / dEff
 
 	lat := m.Cfg.Mem.Lat
+	rob := uint64(m.Cfg.ROBSize)
 	// Overlap credit for an isolated (non-serial) long miss: while the miss
 	// is outstanding, dispatch continues until the reorder buffer fills, so
 	// the observable stall is the memory latency minus the window-fill time
@@ -180,70 +183,106 @@ func (m *Model) PredictCPI(p *Profile) (CPIBreakdown, error) {
 	if m.Opts.NoOverlapCredit {
 		longCost = float64(lat.Mem)
 	}
-	parent := make(map[uint64]uint64, p.LongSerial)
-	if !m.Opts.NoSerialMisses {
-		for _, ev := range p.Events {
-			if ev.Kind == uarch.EvLongDMiss && ev.Serial {
-				parent[ev.Index] = ev.Parent
-			}
+
+	// A misprediction's penalty depends on its interval only through the
+	// window occupancy, min(interval length - 1, ROB), so each occupancy up
+	// to the longest interval is evaluated once.
+	var longest, start, longMisses uint64
+	for _, ev := range evs {
+		if ev.Index >= p.Insts {
+			break
+		}
+		if ev.Index >= start {
+			longest = max(longest, ev.Index-start)
+			start = ev.Index + 1
+		}
+		if ev.Kind == uarch.EvLongDMiss {
+			longMisses++
 		}
 	}
+	penalty := make([]float64, min(rob, longest)+1)
+	for occ := range penalty {
+		penalty[occ] = m.MispredictPenalty(uint64(occ))
+	}
+
 	// Long D-miss handling: misses whose leading edges fall within one
 	// reorder window form a cluster that overlaps in memory (MLP). Within a
 	// cluster, address-dependent misses (pointer chases) form chains that
 	// serialize, while parallel chains still overlap each other — so the
 	// cluster pays its deepest local dependence chain times the memory
-	// latency, with the window-fill credit applied once.
-	var clusterStart uint64
-	var clusterDepths map[uint64]float64
+	// latency, with the window-fill credit applied once. The open cluster
+	// holds its misses in index order, all fewer than ROB after its first.
+	cluster := make([]clusterMiss, 0, min(rob, longMisses))
 	var clusterMax float64
 	flushCluster := func() {
-		if clusterDepths != nil {
+		if len(cluster) > 0 {
 			b.LongData += clusterMax*float64(lat.Mem) - (float64(lat.Mem) - longCost)
-			clusterDepths = nil
 		}
 	}
-	for _, iv := range intervals {
-		if iv.Final {
-			continue
+	start = 0
+	for i := 0; i < len(evs); {
+		ev, next := boundary(evs, i)
+		if ev.Index >= p.Insts {
+			return CPIBreakdown{}, beyondTrace(ev.Index, p.Insts)
 		}
-		evIdx := iv.End - 1
-		switch iv.Kind {
+		occ := min(ev.Index-start, uint64(len(penalty)-1))
+		start = ev.Index + 1
+		switch ev.Kind {
 		case uarch.EvBranchMispredict:
-			b.Bpred += m.MispredictPenalty(iv.Len() - 1)
+			b.Bpred += penalty[occ]
 			b.Mispredicts++
 		case uarch.EvValueMisspec:
 			// A confident-wrong value prediction flushes at dispatch and
 			// resumes fetch when the misspeculated instruction executes —
 			// the same drain-plus-refill shape as a branch mispredict.
-			b.VMisspec += m.MispredictPenalty(iv.Len() - 1)
+			b.VMisspec += penalty[occ]
 		case uarch.EvICacheMiss:
-			if iv.Level == cache.LongMiss {
+			if ev.Level == cache.LongMiss {
 				b.ICache += float64(lat.Mem)
 			} else {
 				b.ICache += float64(lat.L2)
 			}
 		case uarch.EvLongDMiss:
-			if clusterDepths == nil || evIdx-clusterStart >= uint64(m.Cfg.ROBSize) {
+			if len(cluster) == 0 || ev.Index-cluster[0].index >= rob {
 				flushCluster()
-				clusterStart = evIdx
-				clusterDepths = make(map[uint64]float64, 8)
-				clusterMax = 0
+				cluster, clusterMax = cluster[:0], 0
 			}
 			depth := 1.0
-			if par, ok := parent[evIdx]; ok {
-				if pd, in := clusterDepths[par]; in {
-					depth = pd + 1
+			if par, ok := serialParent(evs[i:next]); ok && !m.Opts.NoSerialMisses {
+				// A parent outside the open cluster overlaps nothing here.
+				if j, in := slices.BinarySearchFunc(cluster, par, clusterMiss.cmp); in {
+					depth = cluster[j].depth + 1
 				}
 			}
-			clusterDepths[evIdx] = depth
+			cluster = append(cluster, clusterMiss{index: ev.Index, depth: depth})
 			if depth > clusterMax {
 				clusterMax = depth
 			}
 		}
+		i = next
 	}
 	flushCluster()
 	return b, nil
+}
+
+// clusterMiss is one long D-miss of the open cluster and the length of its
+// dependence chain inside the cluster.
+type clusterMiss struct {
+	index uint64
+	depth float64
+}
+
+func (c clusterMiss) cmp(index uint64) int { return cmp.Compare(c.index, index) }
+
+// serialParent returns the parent of the serial long D-miss among the
+// events of one instruction, the last one in stream order if several are.
+func serialParent(evs []uarch.MissEvent) (uint64, bool) {
+	for i := len(evs) - 1; i >= 0; i-- {
+		if ev := evs[i]; ev.Kind == uarch.EvLongDMiss && ev.Serial {
+			return ev.Parent, true
+		}
+	}
+	return 0, false
 }
 
 // effectiveDispatch returns the steady-state dispatch rate between miss

@@ -16,11 +16,11 @@ import (
 // geometry) and all latencies — a timing sweep over dispatch width, frontend
 // depth and ROB size — and is the only way to build one. It measures each
 // ILP characteristic once per window size: the unit- and machine-latency
-// K(w) in one fused pass, the branch-resolution K(w) once per distinct
-// dispatch width, and the miss-event profile once per distinct ROB size, all
-// straight off a precomputed overlay with no predictor or cache simulation
-// at all. A set is safe for concurrent use, so one set can serve every
-// worker that asks for a member of its family.
+// K(w) in one fused pass, and the branch-resolution K(w) once per distinct
+// dispatch width. It walks a precomputed overlay once, with no predictor or
+// cache simulation at all, for a miss-event profile from which each ROB
+// size's profile is derived. A set is safe for concurrent use, so one set
+// can serve every worker that asks for a member of its family.
 //
 // The sharing is exact: ilp.Profile tiles each window size on its own, so
 // K(w) does not depend on which other sizes were measured with it, and For
@@ -36,7 +36,8 @@ type ModelSet struct {
 	maxInsts int
 
 	mu         sync.Mutex
-	shortRatio float64                 // the family's short-miss ratio, set with the first profile
+	walk       *Profile                // the overlay walked once with an unbounded window
+	shortRatio float64                 // the family's short-miss ratio, set with the walk
 	kunit      map[int]float64         // unit-latency K(w) by window size
 	klat       map[int]float64         // machine-latency K(w) by window size
 	kres       map[int]map[int]float64 // resolution K(w) by dispatch width, then window size
@@ -44,9 +45,10 @@ type ModelSet struct {
 }
 
 // maxProfiles bounds the miss-event profiles a set keeps, one per ROB size,
-// each as large as the program's miss-event stream. A set shared by a
+// each up to as large as the program's miss-event stream. A set shared by a
 // daemon sees whatever ROB sizes clients ask for; past this many, For
-// rebuilds the profile of a size it did not keep instead of keeping more.
+// derives the profile of a size it did not keep again instead of keeping
+// more.
 const maxProfiles = 16
 
 // NewModelSet prepares a model family over soa + ov. base fixes everything
@@ -102,15 +104,16 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 	defer s.mu.Unlock()
 	prof, ok := s.prof[cfg.ROBSize]
 	if !ok {
-		var err error
-		if prof, err = overlayProfile(s.soa, s.ov, cfg, s.warmup, uint64(s.maxInsts)); err != nil {
-			return nil, nil, err
-		}
-		if len(s.prof) == 0 {
+		if s.walk == nil {
+			walk, err := walkOverlay(s.soa, s.ov, s.warmup, uint64(s.maxInsts))
+			if err != nil {
+				return nil, nil, err
+			}
 			// The short-miss ratio counts L1-hit vs L2-hit loads: a property
 			// of the overlay and the warmup, the same for every ROB size.
-			s.shortRatio = prof.ShortMissRatio()
+			s.walk, s.shortRatio = walk, walk.ShortMissRatio()
 		}
+		prof = s.walk.forROB(cfg.ROBSize)
 		if len(s.prof) < maxProfiles {
 			s.prof[cfg.ROBSize] = prof
 		}

@@ -126,6 +126,66 @@ func TestModelSetMatchesBuildModel(t *testing.T) {
 	}
 }
 
+// TestModelSetProfilesMatchOverlayProfile pins the per-ROB derivation: the
+// profile a set returns for each ROB size, derived from its one unbounded
+// walk, must equal a walk with that reorder window (DeepEqual, events and
+// all), over the suite, with and without a value predictor, over the whole
+// trace and inside a warmup/instruction-limit window, at sizes asked in an
+// order that reuses the walk and clears serial marks at some of them.
+func TestModelSetProfilesMatchOverlayProfile(t *testing.T) {
+	const insts = 40_000
+	cleared := 0
+	for _, wc := range workload.Suite() {
+		soa, err := trace.PackReader(workload.MustNew(wc, insts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []bool{false, true} {
+			base := uarch.Baseline()
+			if spec {
+				vp, _ := vpred.Preset("stride")
+				vp.Stream = wc.ValueStream()
+				base.VPred = &vp
+			}
+			ov, err := overlay.ComputeSpec(soa, base.Pred, base.Mem, base.VPred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []struct {
+				warmup   uint64
+				maxInsts int
+			}{{0, 0}, {5_000, 33_000}} {
+				set, err := NewModelSet(soa, ov, base, 128, w.warmup, w.maxInsts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rob := range []int{256, 64, 96, 128, 200, 32, 512, 3} {
+					cfg := modelSetPoint(4, 7, rob)
+					cfg.VPred = base.VPred
+					_, prof, err := set.For(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := overlayProfile(soa, ov, cfg, w.warmup, uint64(w.maxInsts))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(prof, want) {
+						t.Errorf("%s vpred=%v warmup %d max %d r%d: set profile differs from a walk with that window",
+							wc.Name, spec, w.warmup, w.maxInsts, rob)
+					}
+					if prof.LongSerial < set.walk.LongSerial {
+						cleared++
+					}
+				}
+			}
+		}
+	}
+	if cleared == 0 {
+		t.Error("no ROB size cleared a serial mark: the derivation went unexercised")
+	}
+}
+
 // TestModelSetBoundsProfiles: a set keeps at most maxProfiles miss-event
 // profiles however many ROB sizes it is asked for, and answers the sizes it
 // did not keep exactly as a set dedicated to them.
@@ -214,6 +274,9 @@ func TestModelSetRejectsOutsideFamily(t *testing.T) {
 	}
 	if _, err := NewModelSet(soa, ovMismatch, base, 256, 0, insts); err == nil {
 		t.Error("NewModelSet accepted an overlay for a different predictor")
+	}
+	if _, err := NewModelSet(trace.Pack(tr), ov, base, 256, 0, insts); err == nil {
+		t.Error("NewModelSet accepted an overlay of a different trace")
 	}
 }
 

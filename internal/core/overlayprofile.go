@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"intervalsim/internal/cache"
 	"intervalsim/internal/isa"
@@ -42,35 +43,21 @@ func (p *Profile) ShortMissRatio() float64 {
 	return float64(p.ShortDMisses) / float64(p.Loads)
 }
 
-// overlayProfile builds the functional profile of the first maxInsts
-// records of soa (0 = all) on the machine cfg from a precomputed miss-event
-// overlay. The overlay already fixes every speculation outcome, so the walk
-// only reconstructs what depends on the machine configuration beyond the
-// speculation structures: the register dataflow taint that marks serialized
-// long misses (a function of ROBSize) and the warmup/maxInsts windowing. The
-// first warmup instructions are excluded from every count and from the
-// event stream, mirroring uarch.Options.WarmupInsts so model predictions and
-// detailed measurements cover the same steady-state region. One overlay
-// therefore serves every timing point of a sweep, with no predictor or
-// cache simulation per point.
+// walkOverlay builds the functional profile of the first maxInsts records of
+// soa (0 = all) from a precomputed miss-event overlay computed over soa, with
+// an unbounded reorder window. The overlay already fixes every speculation
+// outcome, so the walk only reconstructs the register dataflow taint that
+// marks serialized long misses and the warmup/maxInsts windowing. The first
+// warmup instructions are excluded from every count and from the event
+// stream, mirroring uarch.Options.WarmupInsts so model predictions and
+// detailed measurements cover the same steady-state region.
 //
-// The overlay must have been computed over exactly soa under cfg's
-// predictor, cache-geometry and value-predictor fingerprints; anything else
-// is an error (unlike the silent fallback of the cycle-level replay mode,
-// callers here chose the overlay deliberately).
-func overlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmup, maxInsts uint64) (*Profile, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ov.Trace != soa {
-		return nil, fmt.Errorf("core: overlay was computed for a different trace")
-	}
-	if ov.PredFP != cfg.Pred.Fingerprint() || ov.MemFP != cfg.Mem.Fingerprint() {
-		return nil, fmt.Errorf("core: overlay fingerprints do not match the configuration")
-	}
-	if ov.VPredFP != overlay.VPredFingerprint(cfg.VPred) {
-		return nil, fmt.Errorf("core: overlay value-predictor fingerprint does not match the configuration")
-	}
+// With no window bound, every long miss whose address register is tainted by
+// an earlier long miss is Serial, with that miss as its Parent however far
+// back it lies; forROB then narrows the profile to one ROB size. One walk
+// therefore serves every timing point of a sweep, with no predictor or cache
+// simulation per point.
+func walkOverlay(soa *trace.SoA, ov *overlay.Overlay, warmup, maxInsts uint64) (*Profile, error) {
 	n := uint64(soa.Len())
 	if maxInsts > 0 && maxInsts < n {
 		n = maxInsts
@@ -78,8 +65,8 @@ func overlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmu
 	p := &Profile{Warmup: warmup}
 	// Dataflow taint: per register, the trace index of the most recent long
 	// D-miss in its producing chain (-1 if none). A long-missing load whose
-	// address register is tainted by a miss still inside one reorder window
-	// is serialized behind it (pointer chasing).
+	// address register is tainted is serialized behind that miss (pointer
+	// chasing) if it is still in the window.
 	var taint [isa.NumRegs]int64
 	for i := range taint {
 		taint[i] = -1
@@ -146,11 +133,10 @@ func overlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmu
 					p.ShortDMisses++
 				}
 			case cache.LongMiss:
-				serial := addrTaint >= 0 && idx-uint64(addrTaint) < uint64(cfg.ROBSize)
 				if counting {
 					p.LongDMisses++
 					ev := uarch.MissEvent{Kind: uarch.EvLongDMiss, Index: idx, Level: lvl}
-					if serial {
+					if addrTaint >= 0 {
 						p.LongSerial++
 						ev.Serial = true
 						ev.Parent = uint64(addrTaint)
@@ -194,4 +180,31 @@ func overlayProfile(soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmu
 		}
 	}
 	return p, nil
+}
+
+// forROB narrows a profile walked with an unbounded window to a machine with
+// rob reorder-buffer entries: a long miss stays serialized only behind a
+// parent fewer than rob instructions back, still inside one reorder window.
+// That test is the only part of the walk that depends on the ROB size — the
+// taint follows dataflow, and the counts and events follow the overlay — so
+// the result equals a walk with that window, at O(events) cost. The events
+// are shared with p unless some serial mark is cleared.
+func (p *Profile) forROB(rob int) *Profile {
+	q := *p
+	q.LongSerial = 0
+	cloned := false
+	for i, ev := range p.Events {
+		if !ev.Serial {
+			continue
+		}
+		if ev.Index-ev.Parent < uint64(rob) {
+			q.LongSerial++
+			continue
+		}
+		if !cloned {
+			q.Events, cloned = slices.Clone(p.Events), true
+		}
+		q.Events[i].Serial, q.Events[i].Parent = false, 0
+	}
+	return &q
 }

@@ -132,13 +132,15 @@ func NewCharacteristic(windows []int, k []float64) Characteristic {
 	return c
 }
 
-// Profile measures the ILP characteristic of the packed trace s under each
-// latency table of lats, in one pass over the first maxInsts records (0 =
-// the whole trace); result i belongs to lats[i]. It computes critical paths
-// over non-overlapping windows of each size in windows (which must be
-// positive and ascending): windows of size w start at records 0, w, 2w, …
-// for as long as they fit, whatever other sizes are profiled with them, so
-// K(w) does not depend on the rest of the ladder.
+// Profile measures the ILP characteristic of the packed trace s under one or
+// two latency tables — the model's pair is unit latency and one machine
+// table — in one pass over the first maxInsts records (0 = the whole trace);
+// result i belongs to lats[i]. The kernel runs exactly two lanes, each with
+// its own depth column; given one table, both lanes run it. It computes
+// critical paths over non-overlapping windows of each size in windows (which
+// must be positive and ascending): windows of size w start at records 0, w,
+// 2w, … for as long as they fit, whatever other sizes are profiled with
+// them, so K(w) does not depend on the rest of the ladder.
 //
 // Inside a window starting at record lo, a producer counts iff its
 // Dep1/Dep2/DepMem index is at least lo: the packed trace's producer of a
@@ -152,17 +154,18 @@ func Profile(s *trace.SoA, windows []int, lats []Latencies, maxInsts int) ([]Cha
 	if err := checkWindows(windows); err != nil {
 		return nil, err
 	}
-	if len(lats) == 0 {
-		return nil, fmt.Errorf("ilp: no latency tables given")
+	if len(lats) == 0 || len(lats) > 2 {
+		return nil, fmt.Errorf("ilp: %d latency tables given, want 1 or 2", len(lats))
 	}
+	lat0, lat1 := lats[0], lats[len(lats)-1]
 	n := profiled(s, maxInsts)
-	nw, nt := len(windows), len(lats)
+	nw := len(windows)
 	largest := windows[nw-1]
-	// depth[k*nt+t] is the completion time of the k-th record from the
-	// current start under table t; longest[t] the running maximum of those.
-	depth := make([]float64, largest*nt)
-	longest := make([]float64, nt)
-	sums := make([]float64, nw*nt) // by table, then window size
+	// depth0[k] and depth1[k] are the completion times of the k-th record
+	// from the current start in each lane.
+	depth0 := make([]float64, largest)
+	depth1 := make([]float64, largest)
+	sums := make([]float64, 2*nw) // by lane, then window size
 	counts := make([]int, nw)
 	next := make([]int, nw) // next start of a window of each size
 	for {
@@ -181,37 +184,50 @@ func Profile(s *trace.SoA, windows []int, lats []Latencies, maxInsts int) ([]Cha
 		if first < 0 {
 			break
 		}
-		clear(longest)
+		var longest0, longest1 float64
 		wi := first
 		for k := 0; k < windows[last]; k++ {
 			i := lo + k
-			o1, o2, om := int(s.Dep1[i])-lo, int(s.Dep2[i])-lo, int(s.DepMem[i])-lo
+			var ready0, ready1 float64
+			if o := int(s.Dep1[i]) - lo; o >= 0 {
+				if depth0[o] > ready0 {
+					ready0 = depth0[o]
+				}
+				if depth1[o] > ready1 {
+					ready1 = depth1[o]
+				}
+			}
+			if o := int(s.Dep2[i]) - lo; o >= 0 {
+				if depth0[o] > ready0 {
+					ready0 = depth0[o]
+				}
+				if depth1[o] > ready1 {
+					ready1 = depth1[o]
+				}
+			}
+			if o := int(s.DepMem[i]) - lo; o >= 0 {
+				if depth0[o] > ready0 {
+					ready0 = depth0[o]
+				}
+				if depth1[o] > ready1 {
+					ready1 = depth1[o]
+				}
+			}
 			class := s.Class(i)
-			row := depth[k*nt : (k+1)*nt]
-			for t := range row {
-				var ready float64
-				if o1 >= 0 && depth[o1*nt+t] > ready {
-					ready = depth[o1*nt+t]
-				}
-				if o2 >= 0 && depth[o2*nt+t] > ready {
-					ready = depth[o2*nt+t]
-				}
-				if om >= 0 && depth[om*nt+t] > ready {
-					ready = depth[om*nt+t]
-				}
-				d := ready + lats[t][class]
-				row[t] = d
-				if d > longest[t] {
-					longest[t] = d
-				}
+			d0, d1 := ready0+lat0[class], ready1+lat1[class]
+			depth0[k], depth1[k] = d0, d1
+			if d0 > longest0 {
+				longest0 = d0
+			}
+			if d1 > longest1 {
+				longest1 = d1
 			}
 			if k+1 < windows[wi] {
 				continue
 			}
 			// The window of size k+1 starting at lo ends here.
-			for t, l := range longest {
-				sums[t*nw+wi] += l
-			}
+			sums[wi] += longest0
+			sums[nw+wi] += longest1
 			counts[wi]++
 			next[wi] += windows[wi]
 			// Move on to the next larger window starting at lo.
@@ -219,9 +235,9 @@ func Profile(s *trace.SoA, windows []int, lats []Latencies, maxInsts int) ([]Cha
 			}
 		}
 	}
-	out := make([]Characteristic, nt)
-	for t := range out {
-		out[t] = characteristic(windows, sums[t*nw:(t+1)*nw], counts)
+	out := []Characteristic{characteristic(windows, sums[:nw], counts)}
+	if len(lats) == 2 {
+		out = append(out, characteristic(windows, sums[nw:], counts))
 	}
 	return out, nil
 }

@@ -173,6 +173,9 @@ func TestProfileValidation(t *testing.T) {
 	if _, err := Profile(soa, []int{2, 4}, nil, 0); err == nil {
 		t.Error("no latency tables accepted")
 	}
+	if _, err := Profile(soa, []int{2, 4}, make([]Latencies, 3), 0); err == nil {
+		t.Error("three latency tables accepted by a two-lane kernel")
+	}
 }
 
 func TestProfileKGrowsWithWindow(t *testing.T) {

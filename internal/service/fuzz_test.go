@@ -38,6 +38,9 @@ func FuzzRequestAdmission(f *testing.F) {
 	for _, rq := range oversizedRequests(f) {
 		f.Add([]byte(rq.body))
 	}
+	for _, body := range append(sampleUnitBodies.at, sampleUnitBodies.past...) {
+		f.Add([]byte(body))
+	}
 	// testdata/fuzz/FuzzRequestAdmission holds more seeds: bodies of modes
 	// and fields the API no longer has, and inputs that once panicked.
 	s := &Server{opts: Options{MaxInsts: 1_000_000, MaxSweepPoints: 64}.withDefaults()}
@@ -89,6 +92,9 @@ func FuzzRequestAdmission(f *testing.F) {
 			case "sampled":
 				if in.sampleDetailed == 0 || in.sampleSkip == 0 {
 					t.Fatalf("%s: admitted sampled mode without phases", what)
+				}
+				if units := sampleUnits(uint64(in.insts)-in.warmup, in.sampleDetailed, in.sampleSkip); units > maxSampleUnits {
+					t.Fatalf("%s: admitted %d sample units past their bound %d", what, units, maxSampleUnits)
 				}
 			default:
 				t.Fatalf("%s: admitted mode %q", what, in.mode)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 
 	"intervalsim/internal/cache"
 	"intervalsim/internal/uarch"
@@ -29,6 +30,10 @@ const (
 	maxRegions      = 256
 	maxBlocks       = 64 // basic blocks per region
 	maxBlockSize    = 64 // instructions per basic block
+	// maxSampleUnits bounds a sampled run's measurement units, one per
+	// detailed phase: the simulator keeps a record and four float64
+	// samples per unit.
+	maxSampleUnits = 1 << 16
 )
 
 // bound is one size-bearing request field and its admission limit.
@@ -103,4 +108,16 @@ func workloadBounds(wc *workload.Config) []bound {
 		{"workload.BlocksPerRegion", wc.BlocksPerRegion, maxBlocks},
 		{"workload.BlockSize.Max", wc.BlockSize.Max, maxBlockSize},
 	}
+}
+
+// sampleUnits is the number of measurement units a sampled run takes over
+// n instructions past its warmup: one per period of detailed + skip
+// instructions, the last one possibly cut short. A sum past the uint64
+// range saturates, as the simulator saturates it.
+func sampleUnits(n, detailed, skip uint64) uint64 {
+	period := detailed + skip
+	if period < skip {
+		period = math.MaxUint64
+	}
+	return n/period + min(n%period, 1)
 }

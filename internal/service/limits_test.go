@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -38,6 +40,9 @@ func oversizedRequests(t testing.TB) []oversizedRequest {
 		{"batch width", "/v1/batch", `{"benchmark":"gzip","insts":20000,"points":[{"seq":0,"width":268435456,"depth":3,"rob":64}]}`, "points[0].width", maxWidth},
 		{"batch depth", "/v1/batch", `{"benchmark":"gzip","insts":20000,"points":[{"seq":0,"width":2,"depth":3,"rob":64},{"seq":1,"width":2,"depth":268435456,"rob":64}]}`, "points[1].depth", maxDepth},
 		{"batch rob", "/v1/batch", `{"benchmark":"gzip","insts":20000,"mode":"model","points":[{"seq":0,"width":2,"depth":3,"rob":1073741824}]}`, "points[0].rob", maxROB},
+		{"sweep sample units", "/v1/sweep", `{"benchmark":"gzip","insts":20000000,"mode":"sampled","sample_detailed":1,"sample_skip":1}`, "sample_detailed", maxSampleUnits},
+		{"sweepjob sample units", "/v1/sweepjobs", `{"benchmark":"gzip","insts":20000000,"mode":"sampled","sample_detailed":2,"sample_skip":1}`, "sample_detailed", maxSampleUnits},
+		{"batch sample units", "/v1/batch", `{"benchmark":"gzip","insts":20000000,"mode":"sampled","sample_detailed":1,"sample_skip":3,"points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`, "sample_detailed", maxSampleUnits},
 	}
 	wl := `"Name":"w","Seed":1,"Regions":2,"BlocksPerRegion":4,"BlockSize":{"Min":2,"Max":6},"LoopTrip":{"Min":2,"Max":12},"LoadFrac":0.2,"DataFootprint":65536`
 	for _, w := range []struct {
@@ -171,5 +176,52 @@ func TestBoundsAdmitRepositoryRequests(t *testing.T) {
 	}
 	if err := s.admit("/v1/sweep", []byte(`{"benchmark":"gzip","insts":20000,"widths":[64],"depths":[256],"robs":[4096]}`)); err != nil {
 		t.Errorf("grid at the bounds: %v", err)
+	}
+}
+
+// sampleUnitBodies are sampled sweeps at the measurement-unit bound and one
+// unit past it: (insts − warmup) / (sample_detailed + sample_skip), rounded
+// up, is 65,536 and 65,537.
+var sampleUnitBodies = struct{ at, past []string }{
+	at: []string{
+		`{"benchmark":"gzip","insts":131072,"mode":"sampled","sample_detailed":1,"sample_skip":1}`,
+		`{"benchmark":"gzip","insts":141072,"warmup":10000,"mode":"sampled","sample_detailed":1,"sample_skip":1}`,
+		`{"benchmark":"gzip","insts":196606,"mode":"sampled","sample_detailed":2,"sample_skip":1}`,
+	},
+	past: []string{
+		`{"benchmark":"gzip","insts":131073,"mode":"sampled","sample_detailed":1,"sample_skip":1}`,
+		`{"benchmark":"gzip","insts":141072,"warmup":9999,"mode":"sampled","sample_detailed":1,"sample_skip":1}`,
+		`{"benchmark":"gzip","insts":196609,"mode":"sampled","sample_detailed":2,"sample_skip":1}`,
+	},
+}
+
+// TestSampleUnitsBound pins the sampled-mode admission bound at its edge: a
+// sweep taking maxSampleUnits measurement units is admitted, one taking one
+// more is refused with a 400 that names both phase fields and the bound,
+// and a phase sum past the uint64 range saturates to one unit.
+func TestSampleUnitsBound(t *testing.T) {
+	s := &Server{opts: Options{MaxInsts: 1_000_000, MaxSweepPoints: 64}.withDefaults()}
+	for _, body := range sampleUnitBodies.at {
+		if err := s.admit("/v1/sweep", []byte(body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	}
+	for _, body := range sampleUnitBodies.past {
+		err := s.admit("/v1/sweep", []byte(body))
+		if !errors.Is(err, errBadRequest) {
+			t.Fatalf("%s: admitted or not a 400 (%v)", body, err)
+		}
+		for _, want := range []string{"sample_detailed ", "sample_skip ", "65537 measurement units", fmt.Sprintf("exceeds the bound %d", maxSampleUnits)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: rejection %q does not say %q", body, err, want)
+			}
+		}
+	}
+	saturated := `{"benchmark":"gzip","insts":1000000,"mode":"sampled","sample_detailed":18446744073709551615,"sample_skip":1}`
+	if err := s.admit("/v1/sweep", []byte(saturated)); err != nil {
+		t.Errorf("saturating phase sum: %v", err)
+	}
+	if got := sampleUnits(1_000_000, math.MaxUint64, 1); got != 1 {
+		t.Errorf("saturating phase sum takes %d units, want 1", got)
 	}
 }

@@ -59,8 +59,16 @@ func (s *Server) resolvePoints(base SimulateRequest, in *sweepInputs, npoints in
 		return fmt.Errorf("%w: decompose requires sim mode", errBadRequest)
 	}
 	in.sampleDetailed, in.sampleSkip = detailed, skip
-	if in.mode == "sampled" && (detailed == 0 || skip == 0) {
+	if in.mode != "sampled" {
+		return nil
+	}
+	if detailed == 0 || skip == 0 {
 		return fmt.Errorf("%w: sampled mode needs positive sample_detailed and sample_skip", errBadRequest)
+	}
+	n := uint64(in.insts) - in.warmup
+	if units := sampleUnits(n, detailed, skip); units > maxSampleUnits {
+		return fmt.Errorf("%w: sample_detailed %d and sample_skip %d take %d measurement units over %d instructions, which exceeds the bound %d",
+			errBadRequest, detailed, skip, units, n, maxSampleUnits)
 	}
 	return nil
 }
