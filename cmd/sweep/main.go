@@ -281,9 +281,10 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	// geometry — so one miss-event overlay serves the whole sweep. A point
 	// whose speculation configuration diverges (e.g. via testPointHook) is
 	// caught by the simulator's fingerprint check and falls back to live
-	// simulation, which the path summary below makes visible. Sampled runs
-	// bypass replay by design (precomputed dependences do not apply), so
-	// that mode never computes the overlay at all.
+	// simulation, which the path summary below makes visible. The simulator
+	// ignores an overlay in a fast-forwarded run (its fallback rule
+	// "overlay ignored: sampled/fast-forwarded run"), so sampled mode never
+	// computes the overlay at all.
 	base := uarch.Baseline()
 	if p.pred != "" {
 		preset, ok := bpred.Preset(p.pred)

@@ -1,6 +1,9 @@
 package harness
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Memo is a bounded, concurrency-safe, single-flight memoization table: the
 // sharing primitive behind cross-worker caches (for example the miss-event
@@ -25,6 +28,7 @@ type Memo[K comparable, V any] struct {
 
 type memoEntry[V any] struct {
 	once    sync.Once
+	done    atomic.Bool // set inside once.Do, after val and err
 	val     V
 	err     error
 	lastUse uint64
@@ -61,8 +65,26 @@ func (m *Memo[K, V]) Get(k K, compute func() (V, error)) (V, error) {
 	}
 	m.mu.Unlock()
 
-	e.once.Do(func() { e.val, e.err = compute() })
+	e.once.Do(func() {
+		e.val, e.err = compute()
+		e.done.Store(true)
+	})
 	return e.val, e.err
+}
+
+// Peek returns the value cached for k when its computation has finished
+// without error. It never computes, never waits on a computation in flight,
+// counts neither a hit nor a miss, and leaves k's recency alone, so a
+// reader of what the table already holds cannot change what it holds.
+func (m *Memo[K, V]) Peek(k K) (V, bool) {
+	m.mu.Lock()
+	e, ok := m.entries[k]
+	m.mu.Unlock()
+	if !ok || !e.done.Load() || e.err != nil {
+		var zero V
+		return zero, false
+	}
+	return e.val, true
 }
 
 // evictLocked drops least-recently-used entries until the bound holds. The

@@ -39,8 +39,9 @@ func TestMemoCounters(t *testing.T) {
 // TestMemoStressSingleFlight hammers one memo from many goroutines asking
 // for the same and distinct keys concurrently and asserts the single-flight
 // contract holds under contention: each key's computation runs exactly once,
-// and every caller of a key observes the same value. Run with -race, this is
-// the regression test for the cross-worker sharing the overlay cache and the
+// every caller of a key observes the same value, and a Peek racing the
+// computation sees the value or nothing. Run with -race, this is the
+// regression test for the cross-worker sharing the overlay cache and the
 // service daemon depend on.
 func TestMemoStressSingleFlight(t *testing.T) {
 	const (
@@ -69,6 +70,13 @@ func TestMemoStressSingleFlight(t *testing.T) {
 				})
 				if err != nil || v != k*1000 {
 					t.Errorf("Get(%s) = (%d, %v), want (%d, nil)", key, v, err, k*1000)
+					return
+				}
+				// Peek at a key that may still be in flight: it sees the
+				// finished value or nothing, and counts nothing.
+				next := (k + 1) % keys
+				if v, ok := m.Peek(fmt.Sprintf("key-%d", next)); ok && v != next*1000 {
+					t.Errorf("Peek(key-%d) = %d, want %d", next, v, next*1000)
 					return
 				}
 			}

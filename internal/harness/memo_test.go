@@ -80,3 +80,65 @@ func TestMemoEviction(t *testing.T) {
 		t.Errorf("expected exactly one recomputation of the evicted key")
 	}
 }
+
+// TestMemoPeek pins what Peek may and may not do: it answers only for a
+// key computed without error, returns at once for a key still in flight,
+// and moves no counter and no recency.
+func TestMemoPeek(t *testing.T) {
+	m := NewMemo[string, int](4)
+	if _, ok := m.Peek("absent"); ok {
+		t.Error("Peek found an absent key")
+	}
+	if _, err := m.Get("ok", func() (int, error) { return 7, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := m.Peek("ok"); !ok || v != 7 {
+		t.Errorf("Peek(computed) = (%d, %v), want (7, true)", v, ok)
+	}
+	m.Get("err", func() (int, error) { return 9, errors.New("boom") }) //nolint:errcheck
+	if _, ok := m.Peek("err"); ok {
+		t.Error("Peek returned the value of a failed computation")
+	}
+
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Get("flight", func() (int, error) { //nolint:errcheck
+			close(started)
+			<-release
+			return 1, nil
+		})
+	}()
+	<-started
+	if _, ok := m.Peek("flight"); ok {
+		t.Error("Peek returned a key still being computed")
+	}
+	close(release)
+	<-done
+	if v, ok := m.Peek("flight"); !ok || v != 1 {
+		t.Errorf("Peek(flight) after it finished = (%d, %v), want (1, true)", v, ok)
+	}
+
+	before := m.Counters()
+	for _, k := range []string{"absent", "ok", "err", "flight"} {
+		m.Peek(k)
+	}
+	if after := m.Counters(); after != before {
+		t.Errorf("Peek moved the counters: %+v → %+v", before, after)
+	}
+
+	// Recency is by Get time only: 1 stays the least recently used entry
+	// however often it is peeked, so inserting 3 evicts it.
+	r := NewMemo[int, int](2)
+	for _, k := range []int{1, 2} {
+		r.Get(k, func() (int, error) { return k, nil }) //nolint:errcheck
+	}
+	r.Peek(1)
+	r.Get(3, func() (int, error) { return 3, nil }) //nolint:errcheck
+	if _, ok := r.Peek(1); ok {
+		t.Error("Peek refreshed the recency of the key it read")
+	}
+	if _, ok := r.Peek(2); !ok {
+		t.Error("the entry Get used last was evicted")
+	}
+}

@@ -59,6 +59,13 @@ func (c *Cache) GetSpecVia(soa *trace.SoA, pred bpred.Config, mem icache.Hierarc
 	return c.memo.Get(k, fill)
 }
 
+// Resident returns the overlay of (soa, specFP) — specFP as SpecFingerprintV
+// computes it — if the cache holds it, finished and without error. It never
+// computes, never waits on an overlay in flight, and counts no lookup.
+func (c *Cache) Resident(soa *trace.SoA, specFP uint64) (*Overlay, bool) {
+	return c.memo.Peek(key{soa: soa, specFP: specFP})
+}
+
 // Stats returns the hit/miss counts of the cache so far.
 func (c *Cache) Stats() (hits, misses uint64) { return c.memo.Stats() }
 

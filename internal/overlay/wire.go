@@ -9,7 +9,7 @@ import (
 )
 
 // Wire format for overlays, used by the fleet's peer cache-fill RPC
-// (GET/POST /v1/cache/overlay/<fingerprint>). An overlay is meaningless
+// (GET /v1/cache/overlay/<fingerprint>). An overlay is meaningless
 // without its trace, so the frame names the trace it annotates by the
 // trace's content fingerprint; the decoder refuses to attach the code
 // bytes to any other trace. Like the trace frame, the payload carries a

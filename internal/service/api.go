@@ -202,8 +202,8 @@ func (s *Server) resolveSimulate(req *SimulateRequest) (simInputs, error) {
 	if in.insts == 0 {
 		in.insts = 1_000_000
 	}
-	if in.insts < 1000 || in.insts > s.opts.MaxInsts {
-		return in, fmt.Errorf("%w: insts %d outside [1000, %d]", errBadRequest, in.insts, s.opts.MaxInsts)
+	if in.insts < 1000 || in.insts > maxInsts {
+		return in, fmt.Errorf("%w: insts %d outside [1000, %d]", errBadRequest, in.insts, maxInsts)
 	}
 	in.warmup = req.Warmup
 	if in.warmup >= uint64(in.insts) {
@@ -230,8 +230,8 @@ func (s *Server) resolveSimulate(req *SimulateRequest) (simInputs, error) {
 	in.timeout = s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		in.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if in.timeout > s.opts.MaxTimeout {
-			in.timeout = s.opts.MaxTimeout
+		if in.timeout > maxTimeout {
+			in.timeout = maxTimeout
 		}
 	}
 	return in, nil

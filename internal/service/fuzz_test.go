@@ -43,7 +43,7 @@ func FuzzRequestAdmission(f *testing.F) {
 	}
 	// testdata/fuzz/FuzzRequestAdmission holds more seeds: bodies of modes
 	// and fields the API no longer has, and inputs that once panicked.
-	s := &Server{opts: Options{MaxInsts: 1_000_000, MaxSweepPoints: 64}.withDefaults()}
+	s := &Server{opts: Options{}.withDefaults()}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		decode := func(v any) error {
@@ -64,10 +64,10 @@ func FuzzRequestAdmission(f *testing.F) {
 			}
 		}
 		checkSim := func(what string, in simInputs) {
-			if in.insts < 1000 || in.insts > s.opts.MaxInsts || in.warmup >= uint64(in.insts) {
+			if in.insts < 1000 || in.insts > maxInsts || in.warmup >= uint64(in.insts) {
 				t.Fatalf("%s: admitted insts %d / warmup %d", what, in.insts, in.warmup)
 			}
-			if in.timeout <= 0 || in.timeout > s.opts.MaxTimeout {
+			if in.timeout <= 0 || in.timeout > maxTimeout {
 				t.Fatalf("%s: admitted timeout %v", what, in.timeout)
 			}
 			if err := in.cfg.Validate(); err != nil {
@@ -78,7 +78,7 @@ func FuzzRequestAdmission(f *testing.F) {
 		}
 		checkSweep := func(what string, in sweepInputs) {
 			checkSim(what, in.simInputs)
-			if len(in.points) == 0 || len(in.points) > s.opts.MaxSweepPoints {
+			if len(in.points) == 0 || len(in.points) > maxSweepPoints {
 				t.Fatalf("%s: admitted %d points", what, len(in.points))
 			}
 			for _, sp := range in.points {

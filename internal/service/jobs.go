@@ -44,9 +44,6 @@ type jobStore struct {
 }
 
 func newJobStore(history int) *jobStore {
-	if history < 1 {
-		history = 256
-	}
 	return &jobStore{jobs: make(map[string]*JobView), history: history}
 }
 

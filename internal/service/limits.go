@@ -3,8 +3,10 @@ package service
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"intervalsim/internal/cache"
+	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
@@ -34,7 +36,16 @@ const (
 	// detailed phase: the simulator keeps a record and four float64
 	// samples per unit.
 	maxSampleUnits = 1 << 16
+
+	maxInsts       = 20_000_000       // dynamic instructions per request
+	maxSweepPoints = 4096             // design points per sweep or batch
+	maxTimeout     = 10 * time.Minute // request-supplied deadlines are capped here
 )
+
+// maxFillBytes bounds one peer cache-fill transfer: the frame of a
+// maxInsts-record trace plus room to spare. Overlays are strictly smaller
+// (one byte per record plus a small header).
+var maxFillBytes = int64(trace.WireSizeFor(maxInsts)) + 1<<16
 
 // bound is one size-bearing request field and its admission limit.
 type bound struct {

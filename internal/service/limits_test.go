@@ -161,7 +161,7 @@ func TestOversizedRequestsRejected(t *testing.T) {
 // the largest design point every sweep surface uses, the default grid and
 // each preset are admitted.
 func TestBoundsAdmitRepositoryRequests(t *testing.T) {
-	s := &Server{opts: Options{MaxInsts: 1_000_000, MaxSweepPoints: 64}.withDefaults()}
+	s := &Server{opts: Options{}.withDefaults()}
 	for _, body := range []string{
 		`{"benchmark":"mcf","insts":20000,"machine":{"width":8,"depth":15,"rob":256}}`,
 		`{"benchmark":"mcf","insts":20000,"machine":{"width":64,"depth":256,"rob":4096}}`,
@@ -200,7 +200,7 @@ var sampleUnitBodies = struct{ at, past []string }{
 // more is refused with a 400 that names both phase fields and the bound,
 // and a phase sum past the uint64 range saturates to one unit.
 func TestSampleUnitsBound(t *testing.T) {
-	s := &Server{opts: Options{MaxInsts: 1_000_000, MaxSweepPoints: 64}.withDefaults()}
+	s := &Server{opts: Options{}.withDefaults()}
 	for _, body := range sampleUnitBodies.at {
 		if err := s.admit("/v1/sweep", []byte(body)); err != nil {
 			t.Errorf("%s: %v", body, err)

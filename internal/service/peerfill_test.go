@@ -2,14 +2,19 @@ package service
 
 import (
 	"bytes"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/isa"
 	"intervalsim/internal/overlay"
+	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/vpred"
 	"intervalsim/internal/workload"
@@ -36,21 +41,21 @@ func TestPeerFillEndToEnd(t *testing.T) {
 	base := uarch.Baseline()
 
 	// Warm A locally: one trace generation, one overlay computation.
-	_, soaA, err := a.sharedTrace(wc, insts)
+	_, soaA, fpA, err := a.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ovA, err := a.overlayFor(soaA, base.Pred, base.Mem, nil)
+	ovA, err := a.overlayFor(soaA, fpA, base.Pred, base.Mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// B resolves the same artifacts: both must come from A, not local work.
-	_, soaB, err := b.sharedTrace(wc, insts)
+	_, soaB, fpB, err := b.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ovB, err := b.overlayFor(soaB, base.Pred, base.Mem, nil)
+	ovB, err := b.overlayFor(soaB, fpB, base.Pred, base.Mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +97,12 @@ func TestPeerFillFallsBackPastDeadPeer(t *testing.T) {
 		Peers:      []string{"http://127.0.0.1:1"}, // nothing listens here
 	})
 	wc, _ := workload.SuiteConfig("gzip")
-	_, soa, err := s.sharedTrace(wc, 8_000)
+	_, soa, fp, err := s.sharedTrace(wc, 8_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := uarch.Baseline()
-	if _, err := s.overlayFor(soa, base.Pred, base.Mem, nil); err != nil {
+	if _, err := s.overlayFor(soa, fp, base.Pred, base.Mem, nil); err != nil {
 		t.Fatal(err)
 	}
 	m := s.peerFillMetrics()
@@ -112,15 +117,15 @@ func TestPeerFillFallsBackPastDeadPeer(t *testing.T) {
 // TestPeerFillConcurrentStress races many resolvers of the same artifacts
 // against one shared cache on the filling daemon: the memo's single flight
 // must collapse them to exactly one peer fetch per artifact. Run under
-// -race, this is also the data-race check on the fill index and counters.
+// -race, this is also the data-race check on the fill counters.
 func TestPeerFillConcurrentStress(t *testing.T) {
 	a, b := peerTestPair(t)
 	wc, _ := workload.SuiteConfig("gzip")
 	const insts = 8_000
 	base := uarch.Baseline()
-	if _, soa, err := a.sharedTrace(wc, insts); err != nil {
+	if _, soa, fp, err := a.sharedTrace(wc, insts); err != nil {
 		t.Fatal(err)
-	} else if _, err := a.overlayFor(soa, base.Pred, base.Mem, nil); err != nil {
+	} else if _, err := a.overlayFor(soa, fp, base.Pred, base.Mem, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,12 +137,12 @@ func TestPeerFillConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, soa, err := b.sharedTrace(wc, insts)
+			_, soa, fp, err := b.sharedTrace(wc, insts)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			overlays[i], errs[i] = b.overlayFor(soa, base.Pred, base.Mem, nil)
+			overlays[i], errs[i] = b.overlayFor(soa, fp, base.Pred, base.Mem, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -158,76 +163,82 @@ func TestPeerFillConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestPeerFillHandlers exercises the fill RPC surface directly: push-fill
-// ordering (overlay before trace is a conflict), fingerprint hygiene, and
-// pull round-trips.
+// TestPeerFillHandlers exercises the fill RPC surface directly: a GET
+// answers 404 until the caches hold the artifact and its wire frame after,
+// without moving the caches' hit counters; a POST to either path answers
+// 405; a malformed overlay name, or one naming a resident trace under a
+// speculation spec never computed, answers 404.
 func TestPeerFillHandlers(t *testing.T) {
-	a, _ := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4)})
-	_, bts := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4)})
+	s, ts := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4)})
 	wc, _ := workload.SuiteConfig("gzip")
 	const insts = 6_000
 	base := uarch.Baseline()
-	_, soa, err := a.sharedTrace(wc, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, err := a.overlayFor(soa, base.Pred, base.Mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceFP := TraceFingerprint(wc, insts)
+	traceFP := experiments.TraceFingerprint(wc, insts)
 	ovFP := overlayFP(traceFP, overlay.SpecFingerprint(base.Pred, base.Mem))
+	tracePath, ovPath := "/v1/cache/trace/"+traceFP, "/v1/cache/overlay/"+ovFP
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp := mustGet(t, ts.URL+path)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
 
-	// Unknown fingerprints answer 404.
-	for _, path := range []string{"/v1/cache/trace/" + traceFP, "/v1/cache/overlay/" + ovFP} {
-		resp, err := http.Get(bts.URL + path)
+	for _, path := range []string{tracePath, ovPath} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Fatalf("GET %s on a cold daemon: status %d, want 404", path, code)
+		}
+	}
+	_, soa, fp, err := s.sharedTrace(wc, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != traceFP {
+		t.Fatalf("sharedTrace named the trace %s, want %s", fp, traceFP)
+	}
+	ov, err := s.overlayFor(soa, fp, base.Pred, base.Mem, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, oc := s.traces.Counters(), s.overlays.Counters()
+	for path, want := range map[string][]byte{tracePath: soa.EncodeWire(), ovPath: ov.EncodeWire(traceFP)} {
+		if code, body := get(path); code != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("GET %s on a warm daemon: status %d and %d bytes, want 200 and its %d-byte frame", path, code, len(body), len(want))
+		}
+	}
+	if s.traces.Counters() != tc || s.overlays.Counters() != oc {
+		t.Errorf("serving fills moved the cache counters: trace %+v → %+v, overlay %+v → %+v",
+			tc, s.traces.Counters(), oc, s.overlays.Counters())
+	}
+	if n := s.pf.fillsServed.Load(); n != 2 {
+		t.Errorf("fills served = %d, want 2", n)
+	}
+
+	for _, path := range []string{tracePath, ovPath} {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(soa.EncodeWire()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s on cold daemon: status %d, want 404", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s: status %d, want 405", path, resp.StatusCode)
 		}
 	}
-	// Pushing the overlay before its trace is a conflict: the receiver has
-	// no SoA to validate the code bytes against.
-	resp := postRaw(t, bts.URL+"/v1/cache/overlay/"+ovFP, ov.EncodeWire(traceFP))
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("overlay push before trace: status %d, want 409", resp.StatusCode)
-	}
-	// Push trace, then overlay; both land.
-	if resp := postRaw(t, bts.URL+"/v1/cache/trace/"+traceFP, soa.EncodeWire()); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("trace push: status %d", resp.StatusCode)
-	}
-	if resp := postRaw(t, bts.URL+"/v1/cache/overlay/"+ovFP, ov.EncodeWire(traceFP)); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("overlay push after trace: status %d", resp.StatusCode)
-	}
-	// Pull both back and verify the round trip.
-	for _, path := range []string{"/v1/cache/trace/" + traceFP, "/v1/cache/overlay/" + ovFP} {
-		resp, err := http.Get(bts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s after push: status %d", path, resp.StatusCode)
-		}
-	}
-	// Hostile fingerprints are rejected before touching the maps.
-	for _, fp := range []string{"UPPER", "zz", "..%2f..", "deadbeef!"} {
-		if resp := postRaw(t, bts.URL+"/v1/cache/trace/"+fp, soa.EncodeWire()); resp.StatusCode != http.StatusBadRequest &&
-			resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMovedPermanently {
-			t.Fatalf("push under fingerprint %q: status %d, want rejection", fp, resp.StatusCode)
+	for _, name := range []string{"zz", traceFP, traceFP + "-zz", "-" + ovFP, traceFP + "-1-2", overlayFP(traceFP, 1)} {
+		if code, _ := get("/v1/cache/overlay/" + name); code != http.StatusNotFound {
+			t.Errorf("GET overlay %q: status %d, want 404", name, code)
 		}
 	}
 }
 
-// TestPushFilledOverlayChecked: a pushed overlay frame with a valid checksum
-// but impossible contents — a value misspeculation on every store — is
-// filed under its fingerprint, yet never used: overlayFor rejects it with
-// overlay.Check, counts a fill error and computes the overlay locally.
-func TestPushFilledOverlayChecked(t *testing.T) {
-	b, bts := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4)})
+// TestPeerFilledOverlayChecked: a peer serves the trace and an overlay
+// frame with a valid checksum but impossible contents — a value
+// misspeculation on every store. overlayFor must reject the overlay with
+// overlay.Check, count a fill error and compute the overlay locally.
+func TestPeerFilledOverlayChecked(t *testing.T) {
 	wc, _ := workload.SuiteConfig("gzip")
 	const insts = 6_000
 	cfg := uarch.Baseline()
@@ -250,38 +261,72 @@ func TestPushFilledOverlayChecked(t *testing.T) {
 			bad.Code[i] |= overlay.VPredMiss
 		}
 	}
-	traceFP := TraceFingerprint(wc, insts)
+	traceFP := experiments.TraceFingerprint(wc, insts)
 	ovFP := overlayFP(traceFP, overlay.SpecFingerprintV(cfg.Pred, cfg.Mem, cfg.VPred))
-	if resp := postRaw(t, bts.URL+"/v1/cache/trace/"+traceFP, soa.EncodeWire()); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("trace push: status %d", resp.StatusCode)
+	frames := map[string][]byte{traceFP: soa.EncodeWire(), ovFP: bad.EncodeWire(traceFP)}
+	serve := func(w http.ResponseWriter, r *http.Request) {
+		if frame, ok := frames[r.PathValue("fp")]; ok {
+			w.Write(frame) //nolint:errcheck
+			return
+		}
+		http.NotFound(w, r)
 	}
-	if resp := postRaw(t, bts.URL+"/v1/cache/overlay/"+ovFP, bad.EncodeWire(traceFP)); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("overlay push: status %d", resp.StatusCode)
-	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/cache/trace/{fp}", serve)
+	mux.HandleFunc("GET /v1/cache/overlay/{fp}", serve)
+	peer := httptest.NewServer(mux)
+	defer peer.Close()
 
-	_, local, err := b.sharedTrace(wc, insts)
+	b, _ := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4), Peers: []string{peer.URL}})
+	_, local, fp, err := b.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.overlayFor(local, cfg.Pred, cfg.Mem, cfg.VPred)
+	got, err := b.overlayFor(local, fp, cfg.Pred, cfg.Mem, cfg.VPred)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Code, good.Code) {
-		t.Fatal("overlayFor used the pushed mutant instead of computing the overlay")
+		t.Fatal("overlayFor used the peer's mutant instead of computing the overlay")
 	}
-	if e, c := b.pf.errors.Load(), b.pf.overlaysComputed.Load(); e != 1 || c != 1 {
-		t.Errorf("fill errors %d, overlays computed %d; want 1 and 1", e, c)
+	m := b.peerFillMetrics()
+	if m.TraceFills != 1 || m.Errors != 1 || m.OverlayFills != 0 || m.OverlaysComputed != 1 {
+		t.Errorf("accounting %+v; want 1 trace fill, 1 fill error, 0 overlay fills, 1 overlay computed", m)
 	}
 }
 
-// postRaw POSTs opaque bytes (a wire frame) and returns the closed response.
-func postRaw(t *testing.T, url string, body []byte) *http.Response {
-	t.Helper()
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+// TestEvictedArtifactsReleased: once the trace cache and the overlay cache
+// have both evicted a trace, nothing in the daemon keeps it alive — the
+// caches' bounds are its memory bound. A 1-entry trace cache evicts the
+// first trace at the second; overlayCapacity further overlays evict the
+// first overlay, the last holder of the trace.
+func TestEvictedArtifactsReleased(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(1)})
+	wc, _ := workload.SuiteConfig("gzip")
+	base := uarch.Baseline()
+	resolve := func(insts int) *trace.SoA {
+		t.Helper()
+		_, soa, fp, err := s.sharedTrace(wc, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.overlayFor(soa, fp, base.Pred, base.Mem, nil); err != nil {
+			t.Fatal(err)
+		}
+		return soa
 	}
-	resp.Body.Close()
-	return resp
+	released := make(chan struct{})
+	runtime.SetFinalizer(resolve(2_000), func(*trace.SoA) { close(released) })
+	for i := 1; i <= overlayCapacity; i++ {
+		resolve(2_000 + i)
+	}
+	for try := 0; try < 20; try++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Fatal("the first trace is still reachable after both caches evicted it")
 }

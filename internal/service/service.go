@@ -16,7 +16,6 @@ import (
 	"intervalsim/internal/harness"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/store"
-	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/version"
 )
@@ -32,18 +31,6 @@ type Options struct {
 	// DefaultTimeout is the per-job deadline when a request carries none;
 	// <= 0 means 60s.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps request-supplied deadlines; <= 0 means 10m.
-	MaxTimeout time.Duration
-	// MaxInsts caps per-request dynamic instruction counts; <= 0 means 20M.
-	MaxInsts int
-	// JobHistory bounds retained finished jobs; <= 0 means 256.
-	JobHistory int
-	// OverlayCapacity bounds the server's miss-event overlay cache and its
-	// analytic model-set cache; <= 0 means 16 (one byte per instruction per
-	// overlay).
-	OverlayCapacity int
-	// MaxSweepPoints caps the grid size of one sweep request; <= 0 means 4096.
-	MaxSweepPoints int
 	// TenantQuota caps one tenant's admitted (queued + running) jobs;
 	// <= 0 disables per-tenant accounting.
 	TenantQuota int
@@ -60,15 +47,21 @@ type Options struct {
 	// Peers is the static fleet peer list (base URLs) for cache fills; the
 	// X-Peers header on batch dispatches refreshes it at runtime.
 	Peers []string
-	// MaxFillBytes bounds one peer cache-fill transfer in either direction;
-	// <= 0 derives a bound from MaxInsts (the largest admissible trace frame).
-	MaxFillBytes int64
-	// PeerFillTimeout bounds one peer fetch; <= 0 means 30s.
-	PeerFillTimeout time.Duration
-	// FillIndexCapacity bounds the served-fill index (fingerprint → artifact,
-	// per artifact kind); <= 0 means 32.
-	FillIndexCapacity int
 }
+
+// Daemon sizing. Like the admission bounds in limits.go these are
+// constants, not options: no caller has needed another value.
+const (
+	// jobHistory bounds the finished jobs GET /v1/jobs/{id} still answers.
+	jobHistory = 256
+	// overlayCapacity bounds the overlay cache (one byte per instruction
+	// per overlay) and the analytic model-set memo.
+	overlayCapacity = 16
+	// peerFillTimeout bounds one peer fetch; generous relative to LAN
+	// transfer of the largest admissible artifact but far below recompute
+	// cost.
+	peerFillTimeout = 30 * time.Second
+)
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
@@ -82,34 +75,8 @@ func (o Options) withDefaults() Options {
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 60 * time.Second
 	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 10 * time.Minute
-	}
-	if o.MaxInsts <= 0 {
-		o.MaxInsts = 20_000_000
-	}
-	if o.JobHistory <= 0 {
-		o.JobHistory = 256
-	}
-	if o.OverlayCapacity <= 0 {
-		o.OverlayCapacity = 16
-	}
-	if o.MaxSweepPoints <= 0 {
-		o.MaxSweepPoints = 4096
-	}
 	if o.TraceCache == nil {
 		o.TraceCache = experiments.DefaultTraceCache
-	}
-	if o.MaxFillBytes <= 0 {
-		// The largest legitimate frame is a MaxInsts-record trace; overlays
-		// are strictly smaller (one byte per record plus a small header).
-		o.MaxFillBytes = int64(trace.WireSizeFor(o.MaxInsts)) + 1<<16
-	}
-	if o.PeerFillTimeout <= 0 {
-		o.PeerFillTimeout = defaultPeerFillTimeout
-	}
-	if o.FillIndexCapacity <= 0 {
-		o.FillIndexCapacity = 32
 	}
 	return o
 }
@@ -131,11 +98,10 @@ type Server struct {
 	traces   *experiments.TraceCache
 	version  string
 
-	// Fleet cache sharing (see peerfill.go): the daemon's peer view, the
-	// fingerprint → artifact index it serves fills from, its fill counters,
-	// and the client used for peer fetches.
+	// Fleet cache sharing (see peerfill.go): the daemon's peer view, its
+	// fill counters, and the client used for peer fetches. Fills are served
+	// from the trace and overlay caches above.
 	peers    peerSet
-	fills    *fillIndex
 	pf       peerFillCounters
 	fillHTTP *http.Client
 
@@ -162,13 +128,12 @@ func New(opts Options) *Server {
 			DefaultTimeout: opts.DefaultTimeout,
 			TenantQuota:    opts.TenantQuota,
 		}),
-		jobs:     newJobStore(opts.JobHistory),
+		jobs:     newJobStore(jobHistory),
 		metrics:  newMetrics(),
-		overlays: overlay.NewCache(opts.OverlayCapacity),
-		models:   harness.NewMemo[modelKey, *core.ModelSet](opts.OverlayCapacity),
+		overlays: overlay.NewCache(overlayCapacity),
+		models:   harness.NewMemo[modelKey, *core.ModelSet](overlayCapacity),
 		traces:   opts.TraceCache,
-		fills:    newFillIndex(opts.FillIndexCapacity),
-		fillHTTP: &http.Client{Timeout: opts.PeerFillTimeout},
+		fillHTTP: &http.Client{Timeout: peerFillTimeout},
 		version:  version.String(),
 	}
 	s.peers.learn(opts.Peers)
@@ -201,9 +166,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweepjobs/{id}", s.handleSweepJob)
 	mux.HandleFunc("GET /v1/sweepjobs/{id}/csv", s.handleSweepJobCSV)
 	mux.HandleFunc("GET /v1/cache/trace/{fp}", s.handleTraceFillGet)
-	mux.HandleFunc("POST /v1/cache/trace/{fp}", s.handleTraceFillPut)
 	mux.HandleFunc("GET /v1/cache/overlay/{fp}", s.handleOverlayFillGet)
-	mux.HandleFunc("POST /v1/cache/overlay/{fp}", s.handleOverlayFillPut)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -276,11 +239,11 @@ func statusFor(outcome string) int {
 // server's overlay cache (bit-identical to live simulation), with ctx wired
 // through to the simulator's cancellation watchdog.
 func (s *Server) runSimulate(ctx context.Context, in simInputs) (*SimulateResult, error) {
-	_, soa, err := s.sharedTrace(in.wc, in.insts)
+	_, soa, traceFP, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
 		return nil, err
 	}
-	ov, err := s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
+	ov, err := s.overlayFor(soa, traceFP, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
 	if err != nil {
 		return nil, err
 	}
@@ -299,11 +262,11 @@ func (s *Server) runSimulate(ctx context.Context, in simInputs) (*SimulateResult
 // functional profile and model characteristics come straight off the shared
 // overlay, with no cycle-level simulation at all.
 func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error) {
-	_, soa, err := s.sharedTrace(in.wc, in.insts)
+	_, soa, traceFP, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
 		return nil, err
 	}
-	ov, err := s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
+	ov, err := s.overlayFor(soa, traceFP, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
 	if err != nil {
 		return nil, err
 	}

@@ -577,28 +577,28 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestJobHistoryEviction: finished jobs are evicted beyond the bound, but
-// the store never loses a live job.
+// TestJobHistoryEviction: finished jobs are evicted oldest first beyond
+// the bound, but the store never loses a live job.
 func TestJobHistoryEviction(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, JobHistory: 3})
-
-	var last string
+	js := newJobStore(3)
+	live := js.create("simulate")
+	var ids []string
 	for i := 0; i < 6; i++ {
-		job := decodeBody[JobView](t, postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
-			Benchmark: "gap",
-			Insts:     2000,
-		}))
-		pollJob(t, ts.URL, job.ID)
-		last = job.ID
+		j := js.create("simulate")
+		js.markRunning(j.ID)
+		js.markFinished(j.ID, outcomeOK, "", time.Millisecond)
+		ids = append(ids, j.ID)
 	}
-	m := decodeBody[MetricsResponse](t, mustGet(t, ts.URL+"/metrics"))
-	if m.TrackedJobs > 3 {
-		t.Errorf("tracked jobs = %d, want <= 3", m.TrackedJobs)
+	if n := js.len(); n != 4 {
+		t.Errorf("tracked jobs = %d, want 4 (the live job and 3 finished)", n)
 	}
-	resp := mustGet(t, ts.URL+"/v1/jobs/"+last)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("most recent job evicted (status %d)", resp.StatusCode)
+	if _, ok := js.get(live.ID); !ok {
+		t.Error("live job evicted")
+	}
+	for i, id := range ids {
+		if _, ok := js.get(id); ok != (i >= 3) {
+			t.Errorf("finished job %d of 6 tracked = %v, want %v", i+1, ok, i >= 3)
+		}
 	}
 }
 

@@ -45,8 +45,8 @@ func (s *Server) resolvePoints(base SimulateRequest, in *sweepInputs, npoints in
 	if in.simInputs, err = s.resolveSimulate(&base); err != nil {
 		return err
 	}
-	if npoints > s.opts.MaxSweepPoints {
-		return fmt.Errorf("%w: %d points exceeds the %d-point cap", errBadRequest, npoints, s.opts.MaxSweepPoints)
+	if npoints > maxSweepPoints {
+		return fmt.Errorf("%w: %d points exceeds the %d-point cap", errBadRequest, npoints, maxSweepPoints)
 	}
 	in.mode = mode
 	if in.mode == "" {
@@ -170,13 +170,14 @@ type SweepArtifacts struct {
 // artifacts resolves a sweep's shared artifacts once per sweep, and across
 // sweeps through the caches, filled from fleet peers when possible. The
 // overlay follows the resolved predictor, so every predictor kind gets its
-// own memoized overlay and model. Sampled runs bypass overlay replay by
-// design (precomputed dependences do not apply to fast-forwarded runs), so
-// that mode never computes one. Model mode takes the family's ModelSet from
-// the server's model-set memo; a set it creates profiles the window ladder
-// of the sweep's largest ROB up front.
+// own memoized overlay and model. The simulator ignores an overlay in a
+// fast-forwarded run (its fallback rule "overlay ignored:
+// sampled/fast-forwarded run"), so sampled mode never computes one. Model
+// mode takes the family's ModelSet from the server's model-set memo; a set
+// it creates profiles the window ladder of the sweep's largest ROB up
+// front.
 func (s *Server) artifacts(in *sweepInputs) (*SweepArtifacts, error) {
-	tr, soa, err := s.sharedTrace(in.wc, in.insts)
+	tr, soa, traceFP, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +189,7 @@ func (s *Server) artifacts(in *sweepInputs) (*SweepArtifacts, error) {
 	if in.mode == "sampled" {
 		return a, nil
 	}
-	if a.Overlay, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
+	if a.Overlay, err = s.overlayFor(soa, traceFP, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
 		return nil, err
 	}
 	if in.mode == "model" {

@@ -7,7 +7,7 @@ import (
 )
 
 // Wire format for packed traces, used by the fleet's peer cache-fill RPC
-// (GET/POST /v1/cache/trace/<fingerprint>): one daemon that has already
+// (GET /v1/cache/trace/<fingerprint>): one daemon that has already
 // paid for generating and packing a trace serves the finished SoA bytes to
 // a peer that would otherwise recompute them. The frame is self-validating
 // — magic, record count, and a trailing CRC32C over the payload — and the
