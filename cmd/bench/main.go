@@ -92,9 +92,6 @@ type sweepBench struct {
 	ReplaySpeedup  float64 `json:"replay_speedup"`
 	SampledSpeedup float64 `json:"sampled_speedup"`
 	ModelSpeedup   float64 `json:"model_speedup"`
-	OverlayHits    uint64  `json:"overlay_hits"`
-	OverlayMisses  uint64  `json:"overlay_misses"`
-	OverlayHitRate float64 `json:"overlay_hit_rate"`
 	ModelMeanErr   float64 `json:"model_cpi_mean_abs_err"`
 	// Sampled-run accounting: the pinned phase lengths, the fewest
 	// measurement units any point observed, how many of the Points'
@@ -298,12 +295,11 @@ func run(quick bool, runs int, stdout io.Writer) (*benchReport, error) {
 		return nil, err
 	}
 	rep.Sweep = sw
-	fmt.Fprintf(stdout, "sweep %s (%d pts, %d insts): live %.2fs, replay %.2fs (%.2fx), sampled %.2fs (%.2fx, %d/%d CI cover, |err| %.1f%%), model %.2fs (%.1fx), overlay hit rate %.0f%%, model CPI |err| %.1f%%\n",
+	fmt.Fprintf(stdout, "sweep %s (%d pts, %d insts): live %.2fs, replay %.2fs (%.2fx), sampled %.2fs (%.2fx, %d/%d CI cover, |err| %.1f%%), model %.2fs (%.1fx), model CPI |err| %.1f%%\n",
 		sw.Benchmark, sw.Points, sw.Insts, sw.LiveSeconds,
 		sw.ReplaySeconds, sw.ReplaySpeedup,
 		sw.SampledSeconds, sw.SampledSpeedup, sw.SampledCovered, sw.Points, sw.SampledMeanErr*100,
-		sw.ModelSeconds, sw.ModelSpeedup,
-		sw.OverlayHitRate*100, sw.ModelMeanErr*100)
+		sw.ModelSeconds, sw.ModelSpeedup, sw.ModelMeanErr*100)
 	cb, err := measureCluster(quick, stdout)
 	if err != nil {
 		return nil, err
@@ -485,16 +481,16 @@ func measureSweep(quick bool) (*sweepBench, error) {
 	}
 	sw.LiveSeconds = time.Since(t0).Seconds()
 
-	// A fresh cache, not overlay.Shared, so the recorded hit rate is the
-	// sweep's own: one miss (the first point computes the overlay), then a
-	// hit per remaining point.
-	oc := overlay.NewCache(2)
+	// Every point shares the baseline predictor and cache geometry, so one
+	// overlay, computed inside the replay timing, serves the whole grid and
+	// the model below.
+	base := uarch.Baseline()
 	t1 := time.Now()
+	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
+	if err != nil {
+		return nil, err
+	}
 	for i, cfg := range cfgs {
-		ov, err := oc.Get(soa, cfg.Pred, cfg.Mem)
-		if err != nil {
-			return nil, err
-		}
 		res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{Overlay: ov})
 		if err != nil {
 			return nil, err
@@ -540,7 +536,6 @@ func measureSweep(quick bool) (*sweepBench, error) {
 		return nil, fmt.Errorf("sampled sweep: only %d/%d CPI intervals cover the full-run CPI", sw.SampledCovered, len(cfgs))
 	}
 
-	base := uarch.Baseline()
 	maxROB := 0
 	for _, cfg := range cfgs {
 		if cfg.ROBSize > maxROB {
@@ -549,10 +544,6 @@ func measureSweep(quick bool) (*sweepBench, error) {
 	}
 	var errSum float64
 	t2 := time.Now()
-	ov, err := oc.Get(soa, base.Pred, base.Mem)
-	if err != nil {
-		return nil, err
-	}
 	set, err := core.NewModelSet(soa, ov, base, maxROB, 0, insts)
 	if err != nil {
 		return nil, err
@@ -570,10 +561,6 @@ func measureSweep(quick bool) (*sweepBench, error) {
 	}
 	sw.ModelSeconds = time.Since(t2).Seconds()
 	sw.ModelMeanErr = errSum / float64(len(cfgs))
-	sw.OverlayHits, sw.OverlayMisses = oc.Stats()
-	if total := sw.OverlayHits + sw.OverlayMisses; total > 0 {
-		sw.OverlayHitRate = float64(sw.OverlayHits) / float64(total)
-	}
 	if sw.ModelMeanErr > 0.25 {
 		return nil, fmt.Errorf("model sweep mean CPI error %.1f%% exceeds sanity bound", sw.ModelMeanErr*100)
 	}

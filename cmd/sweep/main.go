@@ -54,9 +54,7 @@ import (
 	"intervalsim/internal/core"
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/harness"
-	"intervalsim/internal/overlay"
 	"intervalsim/internal/service"
-	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/version"
 	"intervalsim/internal/vpred"
@@ -260,10 +258,11 @@ func summarizePaths(w io.Writer, results []harness.Result[service.BatchPoint]) {
 }
 
 func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sweepParams, hopts harness.Options) error {
-	// Pack the trace once: every grid point reuses the struct-of-arrays
-	// layout and its precomputed dependence metadata (the simulator's
-	// index-based fast path), instead of re-decoding per configuration.
-	soa, err := trace.PackReader(workload.MustNew(wc, p.insts))
+	// Generate and pack the trace once, through the process-wide trace
+	// cache: every grid point reuses the struct-of-arrays layout and its
+	// precomputed dependence metadata (the simulator's index-based fast
+	// path), and the decomposer reads the record layout.
+	t, err := experiments.DefaultTraceCache.SharedVia(wc, p.insts, nil)
 	if err != nil {
 		return err
 	}
@@ -273,7 +272,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 		Warmup:         p.warmup,
 		SampleDetailed: p.sampleDetailed,
 		SampleSkip:     p.sampleSkip,
-		SoA:            soa,
+		SoA:            t.SoA,
 	}
 
 	// The grid varies only timing parameters — every point shares one
@@ -307,15 +306,15 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	widths, depths, robs := service.DefaultAxes()
 	points := service.Grid(widths, depths, robs)
 	if p.mode != "sampled" {
-		if a.Overlay, err = overlay.Shared.GetSpec(soa, base.Pred, base.Mem, base.VPred); err != nil {
+		if a.Overlay, err = t.Overlay(base.Pred, base.Mem, base.VPred, nil); err != nil {
 			return err
 		}
 	}
 	switch p.mode {
 	case "sim":
-		a.Trace = soa.Unpack() // AoS view for the decomposer
+		a.Trace = t.Trace // AoS view for the decomposer
 	case "model":
-		if a.Models, err = core.NewModelSet(soa, a.Overlay, base, slices.Max(robs), p.warmup, p.insts); err != nil {
+		if a.Models, err = t.ModelSet(a.Overlay, base, slices.Max(robs), p.warmup, p.insts); err != nil {
 			return err
 		}
 	}
@@ -355,8 +354,8 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	}
 	harness.Summarize(stderr, results)
 	summarizePaths(stderr, results)
-	if hits, misses := overlay.Shared.Stats(); hits+misses > 0 {
-		fmt.Fprintf(stderr, "sweep: overlay cache: %d hits, %d misses\n", hits, misses)
+	if oc := experiments.DefaultTraceCache.OverlayCounters(); oc.Hits+oc.Misses > 0 {
+		fmt.Fprintf(stderr, "sweep: overlay cache: %d hits, %d misses\n", oc.Hits, oc.Misses)
 	}
 	return runErr
 }

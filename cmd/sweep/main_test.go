@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"intervalsim/internal/experiments"
-	"intervalsim/internal/overlay"
 	"intervalsim/internal/service"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
@@ -272,7 +271,7 @@ func TestSampledMode(t *testing.T) {
 		}
 		return out.String(), errb.String()
 	}
-	beforeHits, beforeMisses := overlay.Shared.Stats()
+	before := experiments.DefaultTraceCache.OverlayCounters()
 	serial, se := render("1")
 	if parallel, _ := render("8"); serial != parallel {
 		t.Fatalf("sampled-mode CSV not deterministic:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
@@ -303,11 +302,12 @@ func TestSampledMode(t *testing.T) {
 	if !strings.Contains(se, "simulator paths: 27×soa\n") || strings.Contains(se, "fallback") {
 		t.Errorf("stderr = %q, want 27×soa live runs and no fallback", se)
 	}
-	// The shared overlay cache is process-global, so compare against the
-	// pre-test snapshot: both sampled sweeps must leave it untouched.
-	if hits, misses := overlay.Shared.Stats(); hits != beforeHits || misses != beforeMisses {
+	// The trace cache is process-global, so compare against the pre-test
+	// snapshot: both sampled sweeps must leave its overlay lookups
+	// untouched.
+	if oc := experiments.DefaultTraceCache.OverlayCounters(); oc.Hits != before.Hits || oc.Misses != before.Misses {
 		t.Errorf("sampled sweeps touched the overlay cache: %d hits %d misses, was %d/%d",
-			hits, misses, beforeHits, beforeMisses)
+			oc.Hits, oc.Misses, before.Hits, before.Misses)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"intervalsim/internal/core"
 	"intervalsim/internal/experiments"
-	"intervalsim/internal/overlay"
 	"intervalsim/internal/service"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
@@ -106,12 +105,13 @@ func TestDistributedSweepMatchesReference(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	tr, soa, err := experiments.SharedTrace(wc, insts)
+	art, err := experiments.DefaultTraceCache.SharedVia(wc, insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, soa := art.Trace, art.SoA
 	base := uarch.Baseline()
-	ov, err := overlay.Shared.Get(soa, base.Pred, base.Mem)
+	ov, err := art.Overlay(base.Pred, base.Mem, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"intervalsim/internal/core"
 	"intervalsim/internal/experiments"
-	"intervalsim/internal/overlay"
 	"intervalsim/internal/service"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
@@ -47,12 +46,13 @@ func referenceCSV(t *testing.T, bench string, widths, depths, robs []int, insts 
 	if !ok {
 		t.Fatalf("unknown benchmark %q", bench)
 	}
-	tr, soa, err := experiments.SharedTrace(wc, insts)
+	art, err := experiments.DefaultTraceCache.SharedVia(wc, insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, soa := art.Trace, art.SoA
 	base := uarch.Baseline()
-	ov, err := overlay.Shared.Get(soa, base.Pred, base.Mem)
+	ov, err := art.Overlay(base.Pred, base.Mem, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,7 +281,7 @@ func TestModelSetRejectsOutsideFamily(t *testing.T) {
 }
 
 // TestModelSetConcurrentFor: one set shared by many workers — as the
-// service's model-set memo shares it — answers every member exactly as
+// trace cache shares it across requests — answers every member exactly as
 // serial calls on a fresh set do, with its lazily built characteristics and
 // profiles raced for from the first call on, ROB sizes off and above the
 // up-front ladder included.

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
-	"intervalsim/internal/workload"
 )
 
 // Point builds a machine configuration at one (dispatch width, frontend
@@ -30,14 +28,4 @@ func Point(width, depth, rob int) uarch.Config {
 		cfg.FU.IntMul.Count = 4
 	}
 	return cfg
-}
-
-// SharedTrace returns the process-wide shared (record-layout, packed) trace
-// for (wc, insts), generating and packing it on first use. Concurrent
-// callers for the same key share one generation; both returned layouts are
-// immutable and safe to share across goroutines. This is the entry point
-// long-lived callers outside the experiment suite (the intervalsimd
-// daemon) use to amortize trace generation across requests.
-func SharedTrace(wc workload.Config, insts int) (*trace.Trace, *trace.SoA, error) {
-	return DefaultTraceCache.Shared(wc, insts)
 }

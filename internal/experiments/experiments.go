@@ -56,7 +56,7 @@ func run(wc workload.Config, cfg uarch.Config, p Params) (*trace.Trace, *uarch.R
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{
+	res, err := uarch.Run(st.SoA.Reader(), cfg, uarch.Options{
 		RecordEvents:      true,
 		RecordMispredicts: true,
 		RecordLoadLevels:  true,
@@ -66,7 +66,7 @@ func run(wc workload.Config, cfg uarch.Config, p Params) (*trace.Trace, *uarch.R
 	if err != nil {
 		return nil, nil, err
 	}
-	return st.tr, res, nil
+	return st.Trace, res, nil
 }
 
 func perKI(n, insts uint64) float64 {
@@ -150,7 +150,7 @@ func E1(w io.Writer, p Params) error {
 	if err != nil {
 		return err
 	}
-	res, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{
+	res, err := uarch.Run(st.SoA.Reader(), cfg, uarch.Options{
 		RecordMispredicts: true,
 		TimelineCycles:    200_000,
 		Overlay:           ov,

@@ -271,14 +271,14 @@ func A3(w io.Writer, p Params) error {
 		// functionally and then samples the remainder. Both simulate the
 		// shared packed trace, so the speedup times simulation alone.
 		t0 := timeNow()
-		full, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
+		full, err := uarch.Run(st.SoA.Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
 		if err != nil {
 			return err
 		}
 		fullDur := timeNow() - t0
 
 		t1 := timeNow()
-		sampled, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{
+		sampled, err := uarch.Run(st.SoA.Reader(), cfg, uarch.Options{
 			SampleStartSkip: p.Warmup,
 			SampleDetailed:  50_000,
 			SampleSkip:      150_000,
@@ -328,11 +328,11 @@ func A4(w io.Writer, p Params) error {
 		}
 		// The full-run reference excludes the cold-start region the sampled
 		// run fast-forwards, so both estimate the same steady state.
-		full, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
+		full, err := uarch.Run(st.SoA.Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
 		if err != nil {
 			return err
 		}
-		sampled, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{
+		sampled, err := uarch.Run(st.SoA.Reader(), cfg, uarch.Options{
 			SampleStartSkip: p.Warmup,
 			SampleDetailed:  detailed,
 			SampleSkip:      skip,

@@ -80,7 +80,7 @@ func B1(w io.Writer, p Params) error {
 	t2 := report.New("B1b: direction-mispredict MPKI vs storage budget (crafty)", headers2...)
 	curves := make(map[string][]predictability.BudgetPoint, len(curveKinds))
 	for _, kind := range curveKinds {
-		pts, err := predictability.BudgetCurve(st.soa, kind, budgets, int(p.Warmup))
+		pts, err := predictability.BudgetCurve(st.SoA, kind, budgets, int(p.Warmup))
 		if err != nil {
 			return err
 		}
@@ -123,7 +123,7 @@ func B2(w io.Writer, p Params) error {
 	if err != nil {
 		return err
 	}
-	prof, err := predictability.Collect(st.soa, predictability.Options{Warmup: int(p.Warmup)})
+	prof, err := predictability.Collect(st.SoA, predictability.Options{Warmup: int(p.Warmup)})
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func TestB2H2PMajority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := predictability.Collect(st.soa, predictability.Options{Warmup: int(p.Warmup)})
+	prof, err := predictability.Collect(st.SoA, predictability.Options{Warmup: int(p.Warmup)})
 	if err != nil {
 		t.Fatal(err)
 	}

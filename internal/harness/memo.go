@@ -6,9 +6,9 @@ import (
 )
 
 // Memo is a bounded, concurrency-safe, single-flight memoization table: the
-// sharing primitive behind cross-worker caches (for example the miss-event
-// overlay cache in package overlay, or the packed-trace table in package
-// experiments). Get computes each key's value exactly once even when many
+// sharing primitive behind cross-worker caches (for example the trace cache
+// in package experiments, and the overlays and model sets each of its
+// traces holds). Get computes each key's value exactly once even when many
 // workers ask for it simultaneously — late arrivals block on the first
 // computation instead of duplicating it — and an LRU-ish bound keeps the
 // table from growing without limit across a long sweep.
@@ -87,6 +87,21 @@ func (m *Memo[K, V]) Peek(k K) (V, bool) {
 	return e.val, true
 }
 
+// Finished returns the values whose computation has finished without
+// error, in no particular order. Like Peek, it never computes, never waits,
+// counts nothing and leaves recency alone.
+func (m *Memo[K, V]) Finished() []V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []V
+	for _, e := range m.entries {
+		if e.done.Load() && e.err == nil {
+			out = append(out, e.val)
+		}
+	}
+	return out
+}
+
 // evictLocked drops least-recently-used entries until the bound holds. The
 // just-inserted entry carries the newest tick, so it is never the victim.
 func (m *Memo[K, V]) evictLocked() {
@@ -127,19 +142,4 @@ func (m *Memo[K, V]) Counters() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MemoStats{Hits: m.hits, Misses: m.misses, Evictions: m.evictions, Entries: len(m.entries)}
-}
-
-// Stats returns how many Gets found an existing entry (hits) versus
-// triggered a computation (misses).
-func (m *Memo[K, V]) Stats() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
-}
-
-// Len returns the current number of cached entries.
-func (m *Memo[K, V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
 }

@@ -41,7 +41,7 @@ func TestMemoCounters(t *testing.T) {
 // contract holds under contention: each key's computation runs exactly once,
 // every caller of a key observes the same value, and a Peek racing the
 // computation sees the value or nothing. Run with -race, this is the
-// regression test for the cross-worker sharing the overlay cache and the
+// regression test for the cross-worker sharing the trace cache and the
 // service daemon depend on.
 func TestMemoStressSingleFlight(t *testing.T) {
 	const (

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,8 +32,8 @@ func TestMemoSingleFlight(t *testing.T) {
 	if n := computations.Load(); n != 1 {
 		t.Errorf("computation ran %d times, want 1", n)
 	}
-	if hits, misses := m.Stats(); hits != 15 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 15/1", hits, misses)
+	if s := m.Counters(); s.Hits != 15 || s.Misses != 1 {
+		t.Errorf("stats = %d hits / %d misses, want 15/1", s.Hits, s.Misses)
 	}
 }
 
@@ -66,24 +68,24 @@ func TestMemoEviction(t *testing.T) {
 	get(2)
 	get(1) // refresh 1 → 2 is now the LRU
 	get(3) // evicts 2
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
+	if n := m.Counters().Entries; n != 2 {
+		t.Fatalf("Entries = %d, want 2", n)
 	}
-	_, misses0 := m.Stats()
+	misses0 := m.Counters().Misses
 	get(1) // must still be cached
 	get(3)
-	if _, misses := m.Stats(); misses != misses0 {
+	if misses := m.Counters().Misses; misses != misses0 {
 		t.Errorf("refreshed/just-inserted entries were evicted (misses %d → %d)", misses0, misses)
 	}
 	get(2) // must have been evicted → recompute
-	if _, misses := m.Stats(); misses != misses0+1 {
+	if misses := m.Counters().Misses; misses != misses0+1 {
 		t.Errorf("expected exactly one recomputation of the evicted key")
 	}
 }
 
-// TestMemoPeek pins what Peek may and may not do: it answers only for a
-// key computed without error, returns at once for a key still in flight,
-// and moves no counter and no recency.
+// TestMemoPeek pins what Peek and Finished may and may not do: they answer
+// only for keys computed without error, return at once while a key is in
+// flight, and move no counter and no recency.
 func TestMemoPeek(t *testing.T) {
 	m := NewMemo[string, int](4)
 	if _, ok := m.Peek("absent"); ok {
@@ -113,6 +115,9 @@ func TestMemoPeek(t *testing.T) {
 	if _, ok := m.Peek("flight"); ok {
 		t.Error("Peek returned a key still being computed")
 	}
+	if got := m.Finished(); !reflect.DeepEqual(got, []int{7}) {
+		t.Errorf("Finished with a key in flight = %v, want [7]", got)
+	}
 	close(release)
 	<-done
 	if v, ok := m.Peek("flight"); !ok || v != 1 {
@@ -123,8 +128,13 @@ func TestMemoPeek(t *testing.T) {
 	for _, k := range []string{"absent", "ok", "err", "flight"} {
 		m.Peek(k)
 	}
+	got := m.Finished()
+	slices.Sort(got)
+	if !reflect.DeepEqual(got, []int{1, 7}) {
+		t.Errorf("Finished = %v, want [1 7]", got)
+	}
 	if after := m.Counters(); after != before {
-		t.Errorf("Peek moved the counters: %+v → %+v", before, after)
+		t.Errorf("Peek or Finished moved the counters: %+v → %+v", before, after)
 	}
 
 	// Recency is by Get time only: 1 stays the least recently used entry
@@ -134,9 +144,10 @@ func TestMemoPeek(t *testing.T) {
 		r.Get(k, func() (int, error) { return k, nil }) //nolint:errcheck
 	}
 	r.Peek(1)
+	r.Finished()
 	r.Get(3, func() (int, error) { return 3, nil }) //nolint:errcheck
 	if _, ok := r.Peek(1); ok {
-		t.Error("Peek refreshed the recency of the key it read")
+		t.Error("Peek or Finished refreshed the recency of the key it read")
 	}
 	if _, ok := r.Peek(2); !ok {
 		t.Error("the entry Get used last was evicted")

@@ -11,8 +11,8 @@ import (
 // determines an overlay's per-instruction outcomes. It mixes the two
 // config fingerprints (which already exclude timing-only knobs such as
 // latencies) so callers that key on "what speculation behavior will this
-// machine exhibit" — the overlay cache, the durable result store's identity
-// keys — share one canonical value.
+// machine exhibit" — a cached trace's overlays, the durable result store's
+// identity keys — share one canonical value.
 func SpecFingerprint(pred bpred.Config, mem icache.HierarchyConfig) uint64 {
 	h := pred.Fingerprint()
 	// Boost-style mix: order-sensitive, avalanches both inputs.

@@ -10,7 +10,7 @@ import (
 
 // TestSpecFingerprintDistinctAcrossPredictorKinds: configurations that
 // differ only in predictor must never share a speculation fingerprint —
-// that fingerprint keys the memoized overlay cache and the durable result
+// that fingerprint keys a cached trace's overlays and the durable result
 // store, so a collision would silently replay one predictor's mispredict
 // stream as another's.
 func TestSpecFingerprintDistinctAcrossPredictorKinds(t *testing.T) {
@@ -38,47 +38,6 @@ func TestSpecFingerprintDistinctAcrossPredictorKinds(t *testing.T) {
 			t.Errorf("predictors %q and %+v share spec fingerprint %#x", prev, p, fp)
 		}
 		seen[fp] = p.Kind
-	}
-}
-
-// TestOverlayCacheSeparatesPredictorKinds drives the real shared cache: the
-// same trace requested under two predictor kinds must come back as two
-// distinct overlays with distinct outcome streams, never a shared entry.
-func TestOverlayCacheSeparatesPredictorKinds(t *testing.T) {
-	soa, _, mem := testSetup(t, 20_000)
-	c := NewCache(8)
-	tage, _ := bpred.Preset("tage")
-	tour, _ := bpred.Preset("tournament")
-	ovA, err := c.Get(soa, tage, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ovB, err := c.Get(soa, tour, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ovA == ovB {
-		t.Fatal("two predictor kinds shared one overlay")
-	}
-	if ovA.PredFP == ovB.PredFP {
-		t.Fatal("predictor fingerprints collide")
-	}
-	diff := 0
-	for i := range ovA.Code {
-		if ovA.Code[i]&DirMiss != ovB.Code[i]&DirMiss {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Error("tage and tournament produced identical mispredict streams (suspicious)")
-	}
-	// Same config requested again must hit the memo, not recompute.
-	ovA2, err := c.Get(soa, tage, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ovA2 != ovA {
-		t.Error("identical predictor config did not share the cached overlay")
 	}
 }
 

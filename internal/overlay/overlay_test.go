@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"sync"
 	"testing"
 
 	"intervalsim/internal/bpred"
@@ -118,61 +117,6 @@ func TestComputeMatchesDirectWalk(t *testing.T) {
 	if uint64(dir) != unit.Stats.DirMispredict || uint64(btb) != unit.Stats.BTBMispredict {
 		t.Fatalf("mispredict split %d/%d, walk stats %d/%d",
 			dir, btb, unit.Stats.DirMispredict, unit.Stats.BTBMispredict)
-	}
-}
-
-// TestCacheSharesComputation checks the cache contract: one computation per
-// distinct (trace, predictor, geometry) key no matter how many concurrent
-// callers, identity-shared results, and keys that ignore latency-only and
-// label-only differences.
-func TestCacheSharesComputation(t *testing.T) {
-	soa, pred, mem := testSetup(t, 5_000)
-	c := NewCache(8)
-
-	const callers = 8
-	got := make([]*Overlay, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ov, err := c.Get(soa, pred, mem)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i] = ov
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if got[i] != got[0] {
-			t.Fatal("concurrent Gets returned different overlay instances")
-		}
-	}
-	if hits, misses := c.Stats(); misses != 1 || hits != callers-1 {
-		t.Errorf("stats = %d hits / %d misses, want %d/1", hits, misses, callers-1)
-	}
-
-	// Latency-only config changes hit the same entry (the sweep-sharing
-	// property); a geometry change misses.
-	slow := mem
-	slow.Lat = cache.Latencies{L1: 1, L2: 30, Mem: 800}
-	ov2, err := c.Get(soa, pred, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov2 != got[0] {
-		t.Error("latency-only change recomputed the overlay")
-	}
-	smallL1I := mem
-	smallL1I.L1I.Size = 16 << 10
-	ov3, err := c.Get(soa, pred, smallL1I)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov3 == got[0] {
-		t.Error("geometry change shared an overlay")
 	}
 }
 

@@ -2,11 +2,12 @@
 // an HTTP JSON API over the interval-analysis substrate. Requests name a
 // workload (a built-in suite benchmark or an inline generator config) and a
 // machine (baseline knob overrides or a full configuration); the service
-// runs them on a bounded worker pool and shares the two expensive
-// intermediate artifacts — packed trace.SoA traces and miss-event overlays
-// — across all requests through single-flight memo caches, so a thousand
-// config-sweep queries over one workload pay for one trace generation and
-// one speculation pre-pass.
+// runs them on a bounded worker pool and shares the expensive intermediate
+// artifacts — packed trace.SoA traces, their miss-event overlays and their
+// analytic model sets — across all requests through one single-flight
+// trace cache whose entries hold each trace with what is derived from it,
+// so a thousand config-sweep queries over one workload pay for one trace
+// generation and one speculation pre-pass.
 //
 // Production posture: admission control (a full queue rejects with 429 +
 // Retry-After instead of buffering unboundedly), per-request deadlines wired

@@ -44,10 +44,11 @@ func TestBatchDecomposeMatchesDirect(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	tr, soa, err := experiments.SharedTrace(wc, insts)
+	art, err := experiments.DefaultTraceCache.SharedVia(wc, insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, soa := art.Trace, art.SoA
 	for _, spec := range []BatchPointSpec{{7, 2, 3, 64}, {3, 4, 7, 128}} {
 		got, ok := bySeq[spec.Seq]
 		if !ok {

@@ -105,7 +105,8 @@ func (m *metrics) count(outcome string) {
 	m.outcomes[outcome]++
 }
 
-// CacheMetrics is the JSON shape of one memo cache's counters.
+// CacheMetrics is the JSON shape of one kind of cached artifact's counters:
+// the trace cache's traces, or the overlays or model sets its traces hold.
 type CacheMetrics struct {
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"intervalsim/internal/experiments"
 	"intervalsim/internal/uarch"
 )
 
@@ -14,9 +15,10 @@ import (
 // /metrics model_cache counters: a repeated /v1/model request, a new width
 // and a new ROB size hit the memo, a new warmup, instruction budget, FU
 // latency or cache latency misses it, and a model-mode /v1/sweep of the
-// same family shares it.
+// same family shares it. The counters belong to the trace cache, so the
+// daemon gets one of its own.
 func TestModelSetMemo(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
+	_, ts := newTestServer(t, Options{Workers: 2, TraceCache: experiments.NewTraceCache(4)})
 	base := ModelRequest{Benchmark: "gzip", Insts: 30_000, Warmup: 5_000, Machine: MachineSpec{Width: 4, ROB: 128}}
 	model := func(req ModelRequest) []byte {
 		t.Helper()

@@ -11,6 +11,7 @@ import (
 
 	"intervalsim/internal/bpred"
 	icache "intervalsim/internal/cache"
+	"intervalsim/internal/experiments"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/vpred"
@@ -24,12 +25,12 @@ import (
 // experiments.TraceFingerprint, the canonical-JSON SHA-256 of (workload
 // config, insts) and the trace cache's own key, and overlays by the trace
 // fingerprint plus overlay.SpecFingerprintV. Fetches are single-flight (they
-// run inside the memo caches' per-key locks), bounded in size, and
+// run inside the trace cache's per-key locks), bounded in size, and
 // checksum-verified by the wire decoders; any failure falls back to local
 // computation, so peer fills can only ever save work, never corrupt it.
 //
-// A daemon serves fills from its trace and overlay caches and from nothing
-// else: what the caches have evicted answers 404, so their bounds are the
+// A daemon serves fills from its trace cache and from nothing else: a trace
+// or overlay the cache has evicted answers 404, so its bound is the
 // daemon's memory bound, and the asking peer computes the artifact itself.
 //
 // Peer discovery is push-based: the cluster coordinator stamps every batch
@@ -141,7 +142,7 @@ func (s *Server) learnPeers(r *http.Request) {
 	}
 }
 
-// ---- fill clients (called under the memo caches' single-flight locks) ----
+// ---- fill clients (called under the trace cache's single-flight locks) ----
 
 // fetchFillBody GETs one peer fill URL under the fill client's timeout and
 // the fill size bound. Returns (nil, false) on miss or any error; errors are
@@ -169,8 +170,11 @@ func (s *Server) fetchFillBody(url string) ([]byte, bool) {
 	return body, true
 }
 
-// fetchPeerTrace tries each known peer for the packed trace named fp.
-func (s *Server) fetchPeerTrace(fp string) *trace.SoA {
+// fetchPeerTrace tries each known peer for the packed trace named fp,
+// which has insts records. A frame of any other length is a fill error:
+// the wire decoder checks a frame's records, not that they are the trace
+// fp names.
+func (s *Server) fetchPeerTrace(fp string, insts int) *trace.SoA {
 	peers := s.peers.snapshot()
 	if len(peers) == 0 {
 		return nil
@@ -180,8 +184,8 @@ func (s *Server) fetchPeerTrace(fp string) *trace.SoA {
 		if !ok {
 			continue
 		}
-		soa, err := trace.DecodeWire(body, maxInsts)
-		if err != nil {
+		soa, err := trace.DecodeWire(body, insts)
+		if err != nil || soa.Len() != insts {
 			s.pf.errors.Add(1)
 			continue
 		}
@@ -221,13 +225,13 @@ func (s *Server) fetchPeerOverlay(fp, traceFP string, soa *trace.SoA, pred bpred
 // ---- fill-through cache accessors ----
 
 // sharedTrace resolves (wc, insts) through the server's trace cache with the
-// peer-fill path: local cache, then peers, then local generation, and also
-// returns the trace's fingerprint. The fill hook runs inside the cache's
-// per-key single flight, so a fleet-wide artifact is fetched (or generated)
-// at most once per daemon however many requests race on it.
-func (s *Server) sharedTrace(wc workload.Config, insts int) (*trace.Trace, *trace.SoA, string, error) {
+// peer-fill path: local cache, then peers, then local generation. The fill
+// hook runs inside the cache's per-key single flight, so a fleet-wide
+// artifact is fetched (or generated) at most once per daemon however many
+// requests race on it.
+func (s *Server) sharedTrace(wc workload.Config, insts int) (*experiments.Artifacts, error) {
 	return s.traces.SharedVia(wc, insts, func(fp string) *trace.SoA {
-		if soa := s.fetchPeerTrace(fp); soa != nil {
+		if soa := s.fetchPeerTrace(fp, insts); soa != nil {
 			s.pf.traceFills.Add(1)
 			return soa
 		}
@@ -236,34 +240,34 @@ func (s *Server) sharedTrace(wc workload.Config, insts int) (*trace.Trace, *trac
 	})
 }
 
-// overlayFor resolves the overlay of (soa, pred, mem, vp) through the
-// server's overlay cache with the peer-fill path; traceFP is soa's
-// fingerprint, as sharedTrace returned it. A nil vp resolves the classic
-// overlay under its historical fingerprint; a value-predicting machine gets
-// its own fleet-wide artifact (v2 wire frames carry VPredFP, so peers
-// exchange these too). A peer-fetched overlay enters the cache only if it
-// passes overlay.Check; otherwise the overlay is computed locally.
-func (s *Server) overlayFor(soa *trace.SoA, traceFP string, pred bpred.Config, mem icache.HierarchyConfig, vp *vpred.Config) (*overlay.Overlay, error) {
-	fp := overlayFP(traceFP, overlay.SpecFingerprintV(pred, mem, vp))
-	return s.overlays.GetSpecVia(soa, pred, mem, vp, func() (*overlay.Overlay, error) {
-		if ov := s.fetchPeerOverlay(fp, traceFP, soa, pred, mem, vp); ov != nil {
+// overlayFor resolves the overlay of a's trace under (pred, mem, vp) with
+// the peer-fill path: the trace's overlays, then peers, then local
+// computation. A nil vp resolves the classic overlay under its historical
+// fingerprint; a value-predicting machine gets its own fleet-wide artifact
+// (v2 wire frames carry VPredFP, so peers exchange these too). A
+// peer-fetched overlay enters the cache only if it passes overlay.Check;
+// otherwise the overlay is computed locally.
+func (s *Server) overlayFor(a *experiments.Artifacts, pred bpred.Config, mem icache.HierarchyConfig, vp *vpred.Config) (*overlay.Overlay, error) {
+	fp := overlayFP(a.FP, overlay.SpecFingerprintV(pred, mem, vp))
+	return a.Overlay(pred, mem, vp, func() *overlay.Overlay {
+		if ov := s.fetchPeerOverlay(fp, a.FP, a.SoA, pred, mem, vp); ov != nil {
 			s.pf.overlayFills.Add(1)
-			return ov, nil
+			return ov
 		}
 		s.pf.overlaysComputed.Add(1)
-		return overlay.ComputeSpec(soa, pred, mem, vp)
+		return nil
 	})
 }
 
-// ---- fill HTTP handlers: GET only, answered from the caches ----
+// ---- fill HTTP handlers: GET only, answered from the trace cache ----
 
 func (s *Server) handleTraceFillGet(w http.ResponseWriter, r *http.Request) {
-	soa, ok := s.traces.Resident(r.PathValue("fp"))
+	a, ok := s.traces.Resident(r.PathValue("fp"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "trace not resident"})
 		return
 	}
-	s.serveFill(w, soa.EncodeWire())
+	s.serveFill(w, a.SoA.EncodeWire())
 }
 
 // handleOverlayFillGet serves the overlay named traceFP-specFP (see
@@ -273,8 +277,8 @@ func (s *Server) handleOverlayFillGet(w http.ResponseWriter, r *http.Request) {
 	traceFP, spec, _ := strings.Cut(r.PathValue("fp"), "-")
 	var ov *overlay.Overlay
 	if specFP, err := strconv.ParseUint(spec, 16, 64); err == nil {
-		if soa, ok := s.traces.Resident(traceFP); ok {
-			ov, _ = s.overlays.Resident(soa, specFP)
+		if a, ok := s.traces.Resident(traceFP); ok {
+			ov, _ = a.ResidentOverlay(specFP)
 		}
 	}
 	if ov == nil {

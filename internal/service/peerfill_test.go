@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"intervalsim/internal/bpred"
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/isa"
 	"intervalsim/internal/overlay"
@@ -41,24 +42,25 @@ func TestPeerFillEndToEnd(t *testing.T) {
 	base := uarch.Baseline()
 
 	// Warm A locally: one trace generation, one overlay computation.
-	_, soaA, fpA, err := a.sharedTrace(wc, insts)
+	trA, err := a.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ovA, err := a.overlayFor(soaA, fpA, base.Pred, base.Mem, nil)
+	ovA, err := a.overlayFor(trA, base.Pred, base.Mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// B resolves the same artifacts: both must come from A, not local work.
-	_, soaB, fpB, err := b.sharedTrace(wc, insts)
+	trB, err := b.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ovB, err := b.overlayFor(soaB, fpB, base.Pred, base.Mem, nil)
+	ovB, err := b.overlayFor(trB, base.Pred, base.Mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	soaA, soaB := trA.SoA, trB.SoA
 	if soaB == soaA {
 		t.Fatal("peers share one SoA pointer; the fill did not cross the wire")
 	}
@@ -97,12 +99,12 @@ func TestPeerFillFallsBackPastDeadPeer(t *testing.T) {
 		Peers:      []string{"http://127.0.0.1:1"}, // nothing listens here
 	})
 	wc, _ := workload.SuiteConfig("gzip")
-	_, soa, fp, err := s.sharedTrace(wc, 8_000)
+	tr, err := s.sharedTrace(wc, 8_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := uarch.Baseline()
-	if _, err := s.overlayFor(soa, fp, base.Pred, base.Mem, nil); err != nil {
+	if _, err := s.overlayFor(tr, base.Pred, base.Mem, nil); err != nil {
 		t.Fatal(err)
 	}
 	m := s.peerFillMetrics()
@@ -123,9 +125,9 @@ func TestPeerFillConcurrentStress(t *testing.T) {
 	wc, _ := workload.SuiteConfig("gzip")
 	const insts = 8_000
 	base := uarch.Baseline()
-	if _, soa, fp, err := a.sharedTrace(wc, insts); err != nil {
+	if tr, err := a.sharedTrace(wc, insts); err != nil {
 		t.Fatal(err)
-	} else if _, err := a.overlayFor(soa, fp, base.Pred, base.Mem, nil); err != nil {
+	} else if _, err := a.overlayFor(tr, base.Pred, base.Mem, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,12 +139,12 @@ func TestPeerFillConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, soa, fp, err := b.sharedTrace(wc, insts)
+			tr, err := b.sharedTrace(wc, insts)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			overlays[i], errs[i] = b.overlayFor(soa, fp, base.Pred, base.Mem, nil)
+			overlays[i], errs[i] = b.overlayFor(tr, base.Pred, base.Mem, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -164,10 +166,10 @@ func TestPeerFillConcurrentStress(t *testing.T) {
 }
 
 // TestPeerFillHandlers exercises the fill RPC surface directly: a GET
-// answers 404 until the caches hold the artifact and its wire frame after,
-// without moving the caches' hit counters; a POST to either path answers
-// 405; a malformed overlay name, or one naming a resident trace under a
-// speculation spec never computed, answers 404.
+// answers 404 until the trace cache holds the artifact and its wire frame
+// after, without moving the cache's hit counters; a POST to either path
+// answers 405; a malformed overlay name, or one naming a resident trace
+// under a speculation spec never computed, answers 404.
 func TestPeerFillHandlers(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4)})
 	wc, _ := workload.SuiteConfig("gzip")
@@ -192,26 +194,27 @@ func TestPeerFillHandlers(t *testing.T) {
 			t.Fatalf("GET %s on a cold daemon: status %d, want 404", path, code)
 		}
 	}
-	_, soa, fp, err := s.sharedTrace(wc, insts)
+	tr, err := s.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp != traceFP {
-		t.Fatalf("sharedTrace named the trace %s, want %s", fp, traceFP)
+	if tr.FP != traceFP {
+		t.Fatalf("sharedTrace named the trace %s, want %s", tr.FP, traceFP)
 	}
-	ov, err := s.overlayFor(soa, fp, base.Pred, base.Mem, nil)
+	ov, err := s.overlayFor(tr, base.Pred, base.Mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, oc := s.traces.Counters(), s.overlays.Counters()
+	soa := tr.SoA
+	tc, oc := s.traces.Counters(), s.traces.OverlayCounters()
 	for path, want := range map[string][]byte{tracePath: soa.EncodeWire(), ovPath: ov.EncodeWire(traceFP)} {
 		if code, body := get(path); code != http.StatusOK || !bytes.Equal(body, want) {
 			t.Fatalf("GET %s on a warm daemon: status %d and %d bytes, want 200 and its %d-byte frame", path, code, len(body), len(want))
 		}
 	}
-	if s.traces.Counters() != tc || s.overlays.Counters() != oc {
+	if s.traces.Counters() != tc || s.traces.OverlayCounters() != oc {
 		t.Errorf("serving fills moved the cache counters: trace %+v → %+v, overlay %+v → %+v",
-			tc, s.traces.Counters(), oc, s.overlays.Counters())
+			tc, s.traces.Counters(), oc, s.traces.OverlayCounters())
 	}
 	if n := s.pf.fillsServed.Load(); n != 2 {
 		t.Errorf("fills served = %d, want 2", n)
@@ -246,10 +249,11 @@ func TestPeerFilledOverlayChecked(t *testing.T) {
 	vp.Stream = wc.ValueStream()
 	cfg.VPred = &vp
 
-	_, soa, err := experiments.NewTraceCache(1).Shared(wc, insts)
+	tr, err := experiments.NewTraceCache(1).SharedVia(wc, insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	soa := tr.SoA
 	good, err := overlay.ComputeSpec(soa, cfg.Pred, cfg.Mem, cfg.VPred)
 	if err != nil {
 		t.Fatal(err)
@@ -278,11 +282,11 @@ func TestPeerFilledOverlayChecked(t *testing.T) {
 	defer peer.Close()
 
 	b, _ := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4), Peers: []string{peer.URL}})
-	_, local, fp, err := b.sharedTrace(wc, insts)
+	local, err := b.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.overlayFor(local, fp, cfg.Pred, cfg.Mem, cfg.VPred)
+	got, err := b.overlayFor(local, cfg.Pred, cfg.Mem, cfg.VPred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,31 +299,85 @@ func TestPeerFilledOverlayChecked(t *testing.T) {
 	}
 }
 
-// TestEvictedArtifactsReleased: once the trace cache and the overlay cache
-// have both evicted a trace, nothing in the daemon keeps it alive — the
-// caches' bounds are its memory bound. A 1-entry trace cache evicts the
-// first trace at the second; overlayCapacity further overlays evict the
-// first overlay, the last holder of the trace.
-func TestEvictedArtifactsReleased(t *testing.T) {
-	s, _ := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(1)})
+// TestPeerFilledTraceChecked: a peer serves a valid trace frame of the
+// wrong length under the requested trace's name — the 2,000- or the
+// 4,000-record gzip trace for a 3,000-instruction request. sharedTrace must
+// count a fill error and generate the trace locally, with exactly the
+// records asked for in both layouts.
+func TestPeerFilledTraceChecked(t *testing.T) {
 	wc, _ := workload.SuiteConfig("gzip")
-	base := uarch.Baseline()
-	resolve := func(insts int) *trace.SoA {
-		t.Helper()
-		_, soa, fp, err := s.sharedTrace(wc, insts)
+	const insts = 3_000
+	traceFP := experiments.TraceFingerprint(wc, insts)
+	for _, n := range []int{2_000, 4_000} {
+		wrong, err := experiments.NewTraceCache(1).SharedVia(wc, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.overlayFor(soa, fp, base.Pred, base.Mem, nil); err != nil {
+		frame := wrong.SoA.EncodeWire()
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/cache/trace/{fp}", func(w http.ResponseWriter, r *http.Request) {
+			if r.PathValue("fp") != traceFP {
+				http.NotFound(w, r)
+				return
+			}
+			w.Write(frame) //nolint:errcheck
+		})
+		peer := httptest.NewServer(mux)
+		defer peer.Close()
+
+		b, _ := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(4), Peers: []string{peer.URL}})
+		got, err := b.sharedTrace(wc, insts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return soa
+		if got.SoA.Len() != insts || got.Trace.Len() != insts {
+			t.Errorf("%d-record frame: the trace has %d packed and %d records, want %d", n, got.SoA.Len(), got.Trace.Len(), insts)
+		}
+		m := b.peerFillMetrics()
+		if m.Errors != 1 || m.TraceFills != 0 || m.TracesComputed != 1 {
+			t.Errorf("%d-record frame: accounting %+v; want 1 fill error, 0 trace fills, 1 trace computed", n, m)
+		}
+	}
+}
+
+// TestEvictedArtifactsReleased: once the trace cache has evicted a trace,
+// nothing in the daemon keeps it alive, whatever overlays and model sets
+// were derived from it — the cache's bound is the daemon's memory bound. A
+// 1-entry trace cache evicts the first trace, with its three overlays and
+// three model sets, at the second trace.
+func TestEvictedArtifactsReleased(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1, TraceCache: experiments.NewTraceCache(1)})
+	wc, _ := workload.SuiteConfig("gzip")
+	const insts = 2_000
+	resolve := func(insts int, preds ...string) *trace.SoA {
+		t.Helper()
+		tr, err := s.sharedTrace(wc, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range preds {
+			cfg := uarch.Baseline()
+			cfg.Pred, _ = bpred.Preset(name)
+			ov, err := s.overlayFor(tr, cfg.Pred, cfg.Mem, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := tr.ModelSet(ov, cfg, cfg.ROBSize, 0, insts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := set.For(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr.SoA
 	}
 	released := make(chan struct{})
-	runtime.SetFinalizer(resolve(2_000), func(*trace.SoA) { close(released) })
-	for i := 1; i <= overlayCapacity; i++ {
-		resolve(2_000 + i)
+	runtime.SetFinalizer(resolve(insts, "tournament", "tage", "gshare"), func(*trace.SoA) { close(released) })
+	if mc := s.traces.ModelCounters(); mc.Misses != 3 || mc.Entries != 3 {
+		t.Fatalf("model counters %+v, want 3 sets resident", mc)
 	}
+	resolve(insts + 1)
 	for try := 0; try < 20; try++ {
 		runtime.GC()
 		select {
@@ -328,5 +386,5 @@ func TestEvictedArtifactsReleased(t *testing.T) {
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-	t.Fatal("the first trace is still reachable after both caches evicted it")
+	t.Fatal("the first trace is still reachable after the trace cache evicted it")
 }

@@ -86,10 +86,11 @@ func TestSimulatePredictorPreset(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	_, soa, err := experiments.SharedTrace(wc, insts)
+	art, err := experiments.DefaultTraceCache.SharedVia(wc, insts, nil)
 	if err != nil {
-		t.Fatalf("SharedTrace: %v", err)
+		t.Fatalf("SharedVia: %v", err)
 	}
+	soa := art.SoA
 	cfg := experiments.Point(4, 5, 64)
 	cfg.Pred, _ = bpred.Preset("tage")
 	want, err := uarch.Run(soa.Reader(), cfg, uarch.Options{RecordMispredicts: true})

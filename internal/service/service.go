@@ -10,11 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"intervalsim/internal/cache"
 	"intervalsim/internal/core"
 	"intervalsim/internal/experiments"
-	"intervalsim/internal/harness"
-	"intervalsim/internal/overlay"
 	"intervalsim/internal/store"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/version"
@@ -40,9 +37,11 @@ type Options struct {
 	// not of closing the store; the caller closes it after Shutdown.
 	Store *store.Store
 	// TraceCache overrides the trace cache; nil means the process-wide
-	// experiments.DefaultTraceCache. cmd/bench injects private instances so
-	// in-process fleet daemons cannot silently share artifacts through the
-	// process memo, which would make per-daemon cost accounting dishonest.
+	// experiments.DefaultTraceCache. The cache holds each trace with its
+	// overlays and model sets, and their counters, which /metrics reports.
+	// cmd/bench and perfbench inject private instances so in-process
+	// daemons cannot silently share artifacts through the process memo,
+	// which would make per-daemon cost accounting dishonest.
 	TraceCache *experiments.TraceCache
 	// Peers is the static fleet peer list (base URLs) for cache fills; the
 	// X-Peers header on batch dispatches refreshes it at runtime.
@@ -54,9 +53,6 @@ type Options struct {
 const (
 	// jobHistory bounds the finished jobs GET /v1/jobs/{id} still answers.
 	jobHistory = 256
-	// overlayCapacity bounds the overlay cache (one byte per instruction
-	// per overlay) and the analytic model-set memo.
-	overlayCapacity = 16
 	// peerFillTimeout bounds one peer fetch; generous relative to LAN
 	// transfer of the largest admissible artifact but far below recompute
 	// cost.
@@ -82,25 +78,22 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the intervalsimd service: the HTTP handler set plus the worker
-// pool, job store, metrics, and the caches shared across requests. Traces
-// are shared through the process-wide experiments memo (one generation +
-// pack per (workload, insts) no matter how many clients ask); overlays are
-// shared through the server's own bounded single-flight cache (one
-// speculation pre-pass per (trace, predictor, cache geometry)), and so are
-// analytic model sets (one set of ILP characteristics per modelKey).
+// pool, job store, metrics, and the trace cache shared across requests. The
+// cache holds each trace (one generation + pack per (workload, insts) no
+// matter how many clients ask) with what is derived from it: its overlays
+// (one speculation pre-pass per predictor and cache geometry) and its
+// analytic model sets (one set of ILP characteristics per model family).
 type Server struct {
-	opts     Options
-	pool     *Pool
-	jobs     *jobStore
-	metrics  *metrics
-	overlays *overlay.Cache
-	models   *harness.Memo[modelKey, *core.ModelSet]
-	traces   *experiments.TraceCache
-	version  string
+	opts    Options
+	pool    *Pool
+	jobs    *jobStore
+	metrics *metrics
+	traces  *experiments.TraceCache
+	version string
 
 	// Fleet cache sharing (see peerfill.go): the daemon's peer view, its
 	// fill counters, and the client used for peer fetches. Fills are served
-	// from the trace and overlay caches above.
+	// from the trace cache above.
 	peers    peerSet
 	pf       peerFillCounters
 	fillHTTP *http.Client
@@ -130,8 +123,6 @@ func New(opts Options) *Server {
 		}),
 		jobs:     newJobStore(jobHistory),
 		metrics:  newMetrics(),
-		overlays: overlay.NewCache(overlayCapacity),
-		models:   harness.NewMemo[modelKey, *core.ModelSet](overlayCapacity),
 		traces:   opts.TraceCache,
 		fillHTTP: &http.Client{Timeout: peerFillTimeout},
 		version:  version.String(),
@@ -234,20 +225,20 @@ func statusFor(outcome string) int {
 
 // ---- simulation execution (shared by simulate jobs and sweep points) ----
 
-// runSimulate executes one cycle-level run off the shared caches: packed
-// trace from the experiments memo, speculation outcomes replayed from the
-// server's overlay cache (bit-identical to live simulation), with ctx wired
-// through to the simulator's cancellation watchdog.
+// runSimulate executes one cycle-level run off the trace cache: the packed
+// trace and its overlay, whose speculation outcomes are replayed
+// (bit-identical to live simulation), with ctx wired through to the
+// simulator's cancellation watchdog.
 func (s *Server) runSimulate(ctx context.Context, in simInputs) (*SimulateResult, error) {
-	_, soa, traceFP, err := s.sharedTrace(in.wc, in.insts)
+	a, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
 		return nil, err
 	}
-	ov, err := s.overlayFor(soa, traceFP, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
+	ov, err := s.overlayFor(a, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
 	if err != nil {
 		return nil, err
 	}
-	res, err := uarch.RunContext(ctx, soa.Reader(), in.cfg, uarch.Options{
+	res, err := uarch.RunContext(ctx, a.SoA.Reader(), in.cfg, uarch.Options{
 		RecordMispredicts: true,
 		WarmupInsts:       in.warmup,
 		Overlay:           ov,
@@ -260,17 +251,19 @@ func (s *Server) runSimulate(ctx context.Context, in simInputs) (*SimulateResult
 
 // runModel answers the same question from the analytic interval model: the
 // functional profile and model characteristics come straight off the shared
-// overlay, with no cycle-level simulation at all.
+// overlay, with no cycle-level simulation at all. The family's model set
+// is the trace's, shared with every request and model-mode sweep of the
+// family; a set this request creates profiles its own ROB's ladder.
 func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error) {
-	_, soa, traceFP, err := s.sharedTrace(in.wc, in.insts)
+	a, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
 		return nil, err
 	}
-	ov, err := s.overlayFor(soa, traceFP, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
+	ov, err := s.overlayFor(a, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
 	if err != nil {
 		return nil, err
 	}
-	set, err := s.modelSet(ov, in, in.cfg.ROBSize)
+	set, err := a.ModelSet(ov, in.cfg, in.cfg.ROBSize, in.warmup, in.insts)
 	if err != nil {
 		return nil, err
 	}
@@ -295,32 +288,6 @@ func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error)
 		out.IPC = 1 / out.CPI
 	}
 	return out, nil
-}
-
-// modelKey identifies one memoized model set. The overlay pointer fixes the
-// packed trace and the speculation fingerprints; the FU and cache latencies,
-// warmup and instruction budget are the rest of what a set's family shares.
-// A set answers every ROB size exactly, so the key has no ROB size: a
-// /v1/model request and a model-mode sweep of the same family share one
-// set.
-type modelKey struct {
-	ov     *overlay.Overlay
-	mem    cache.Latencies
-	fu     uarch.PoolLatencies
-	warmup uint64
-	insts  int
-}
-
-// modelSet returns the model set of (ov, in's latencies, warmup and insts)
-// over ov's trace from the server's bounded single-flight memo, building it
-// on first use with maxROB as the window ladder it profiles up front. A set
-// is safe for concurrent use and its answers are fully determined by its
-// key, so every request and sweep point of the family shares one.
-func (s *Server) modelSet(ov *overlay.Overlay, in simInputs, maxROB int) (*core.ModelSet, error) {
-	k := modelKey{ov: ov, mem: in.cfg.Mem.Lat, fu: in.cfg.FU.Latencies(), warmup: in.warmup, insts: in.insts}
-	return s.models.Get(k, func() (*core.ModelSet, error) {
-		return core.NewModelSet(ov.Trace, ov, in.cfg, maxROB, in.warmup, in.insts)
-	})
 }
 
 // modelPoint evaluates the analytic model at cfg: the predicted cycle stack,
@@ -579,8 +546,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Draining:      ps.Closed,
 		TrackedJobs:   s.jobs.len(),
 		Jobs:          jobs,
-		OverlayCache:  cacheMetrics(s.overlays.Counters()),
-		ModelCache:    cacheMetrics(s.models.Counters()),
+		OverlayCache:  cacheMetrics(s.traces.OverlayCounters()),
+		ModelCache:    cacheMetrics(s.traces.ModelCounters()),
 		TraceCache:    cacheMetrics(s.traces.Counters()),
 		PeerFill:      s.peerFillMetrics(),
 		Latency:       lat,

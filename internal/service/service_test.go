@@ -115,10 +115,11 @@ func TestSimulateEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("gzip missing from suite")
 	}
-	_, soa, err := experiments.SharedTrace(wc, insts)
+	art, err := experiments.DefaultTraceCache.SharedVia(wc, insts, nil)
 	if err != nil {
-		t.Fatalf("SharedTrace: %v", err)
+		t.Fatalf("SharedVia: %v", err)
 	}
+	soa := art.SoA
 	cfg := experiments.Point(4, 5, 64)
 	want, err := uarch.Run(soa.Reader(), cfg, uarch.Options{RecordMispredicts: true})
 	if err != nil {
@@ -426,9 +427,10 @@ func TestSweepModelMode(t *testing.T) {
 
 // TestSweepSampledMode: a sampled sweep streams the ratio-estimator CPI
 // interval per point, never computes an overlay, and rejects requests
-// without the sampling phase lengths.
+// without the sampling phase lengths. The overlay counters belong to the
+// trace cache, so the daemon gets one of its own.
 func TestSweepSampledMode(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
+	_, ts := newTestServer(t, Options{Workers: 2, TraceCache: experiments.NewTraceCache(1)})
 
 	points, trailer := readSweep(t, postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
 		Benchmark:      "vpr",

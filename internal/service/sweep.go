@@ -168,28 +168,28 @@ type SweepArtifacts struct {
 }
 
 // artifacts resolves a sweep's shared artifacts once per sweep, and across
-// sweeps through the caches, filled from fleet peers when possible. The
-// overlay follows the resolved predictor, so every predictor kind gets its
-// own memoized overlay and model. The simulator ignores an overlay in a
+// sweeps through the trace cache, filled from fleet peers when possible.
+// The overlay follows the resolved predictor, so every predictor kind gets
+// its own memoized overlay and model. The simulator ignores an overlay in a
 // fast-forwarded run (its fallback rule "overlay ignored:
 // sampled/fast-forwarded run"), so sampled mode never computes one. Model
-// mode takes the family's ModelSet from the server's model-set memo; a set
+// mode takes the family's ModelSet from the trace, as /v1/model does; a set
 // it creates profiles the window ladder of the sweep's largest ROB up
 // front.
 func (s *Server) artifacts(in *sweepInputs) (*SweepArtifacts, error) {
-	tr, soa, traceFP, err := s.sharedTrace(in.wc, in.insts)
+	t, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
 		return nil, err
 	}
 	a := &SweepArtifacts{
 		Mode: in.mode, Decompose: in.decompose, Warmup: in.warmup,
 		SampleDetailed: in.sampleDetailed, SampleSkip: in.sampleSkip,
-		Trace: tr, SoA: soa,
+		Trace: t.Trace, SoA: t.SoA,
 	}
 	if in.mode == "sampled" {
 		return a, nil
 	}
-	if a.Overlay, err = s.overlayFor(soa, traceFP, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
+	if a.Overlay, err = s.overlayFor(t, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
 		return nil, err
 	}
 	if in.mode == "model" {
@@ -197,7 +197,7 @@ func (s *Server) artifacts(in *sweepInputs) (*SweepArtifacts, error) {
 		for _, sp := range in.points {
 			maxROB = max(maxROB, sp.ROB)
 		}
-		if a.Models, err = s.modelSet(a.Overlay, in.simInputs, maxROB); err != nil {
+		if a.Models, err = t.ModelSet(a.Overlay, in.cfg, maxROB, in.warmup, in.insts); err != nil {
 			return nil, err
 		}
 	}

@@ -36,10 +36,11 @@ func TestSweepEndpointsAgree(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	tr, soa, err := experiments.SharedTrace(wc, insts)
+	art, err := experiments.DefaultTraceCache.SharedVia(wc, insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, soa := art.Trace, art.SoA
 	base := uarch.Baseline()
 	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
 	if err != nil {

@@ -215,10 +215,11 @@ func TestSimulateVPredEndToEnd(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	_, soa, err := experiments.SharedTrace(wc, insts)
+	art, err := experiments.DefaultTraceCache.SharedVia(wc, insts, nil)
 	if err != nil {
-		t.Fatalf("SharedTrace: %v", err)
+		t.Fatalf("SharedVia: %v", err)
 	}
+	soa := art.SoA
 	cfg := experiments.Point(4, 5, 64)
 	preset, _ := vpred.Preset("stride")
 	preset.Stream = wc.ValueStream()

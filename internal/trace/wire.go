@@ -12,9 +12,11 @@ import (
 // a peer that would otherwise recompute them. The frame is self-validating
 // — magic, record count, and a trailing CRC32C over the payload — and the
 // decoder additionally requires the decoded trace to be exactly what Pack
-// makes of its own records, so neither a corrupted fill nor a well-formed
-// frame from a peer that lies about its contents can reach the simulator or
-// the ILP kernels.
+// makes of its own records, so neither a corrupted fill nor a frame of
+// malformed records can reach the simulator or the ILP kernels. The frame
+// does not say which trace it is: a caller that asked for a trace of n
+// records must also check that it got n, or a peer serving another valid
+// trace under the requested name would go unnoticed.
 //
 // Layout (little-endian):
 //

@@ -47,14 +47,20 @@ func mixedConfigs(k int) []Config {
 }
 
 // TestConcurrentRunsShareOverlay runs many configurations at once over one
-// packed trace and one overlay.Shared entry, the way the service serves a
-// sweep. Under -race this pins the SoA and the overlay as read-only during
-// simulation; every concurrent run must still match its serial run.
+// packed trace and one overlay, the way the service serves a sweep. Under
+// -race this pins the SoA and the overlay as read-only during simulation;
+// every concurrent run must still match its serial run. (The single flight
+// that hands every caller one overlay is tested with the trace cache, in
+// package experiments.)
 func TestConcurrentRunsShareOverlay(t *testing.T) {
 	soa := packedTrace(t, "vpr", 30_000)
 	base := Baseline()
 	cfgs := mixedConfigs(8)
-	opts := Options{RecordMispredicts: true, RecordLoadLevels: true}
+	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{RecordMispredicts: true, RecordLoadLevels: true, Overlay: ov}
 
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
@@ -63,25 +69,11 @@ func TestConcurrentRunsShareOverlay(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Every run resolves the overlay through the shared memo cache:
-			// one Compute, many concurrent readers.
-			ov, err := overlay.Shared.Get(soa, base.Pred, base.Mem)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			o := opts
-			o.Overlay = ov
-			results[i], errs[i] = Run(soa.Reader(), cfg, o)
+			results[i], errs[i] = Run(soa.Reader(), cfg, opts)
 		}()
 	}
 	wg.Wait()
 
-	ov, err := overlay.Shared.Get(soa, base.Pred, base.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Overlay = ov
 	for i, cfg := range cfgs {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", cfg.Name, errs[i])
