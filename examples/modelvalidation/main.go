@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"intervalsim/internal/core"
+	"intervalsim/internal/ilp"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
@@ -44,9 +45,11 @@ func main() {
 
 	// Step 2 — the model: a model set reads the functional profile (the
 	// miss-event population) off the overlay, and measures the ILP
-	// characteristics — critical-path statistics of the program under unit
-	// and machine latencies, plus the branch-resolution curve — on the
-	// packed trace.
+	// characteristics — critical-path statistics of the program under
+	// machine latencies, plus the branch-resolution curve — on the packed
+	// trace. The inherent ILP printed below is not a model input: it is the
+	// same critical-path statistic under unit latencies, measured here over
+	// the windows the model uses (powers of two below the ROB, then the ROB).
 	set, err := core.NewModelSet(soa, ov, cfg, cfg.ROBSize, warmup, insts)
 	if err != nil {
 		log.Fatal(err)
@@ -55,10 +58,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var ladder []int
+	for w := 2; w < cfg.ROBSize; w *= 2 {
+		ladder = append(ladder, w)
+	}
+	unit, err := ilp.Profile(soa, append(ladder, cfg.ROBSize), ilp.UnitLatencies(), insts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("functional profile: %d mispredicts, %d I$ misses, %d long D-misses (%d serial)\n",
 		prof.Mispredicts, prof.ICacheMisses, prof.LongDMisses, prof.LongSerial)
 	fmt.Printf("ILP characteristic: K(%d) = %.1f (unit), beta = %.2f\n",
-		cfg.ROBSize, model.KUnit.EvalInterp(cfg.ROBSize), model.KUnit.Beta)
+		cfg.ROBSize, unit.EvalInterp(cfg.ROBSize), unit.Beta)
 	fmt.Printf("penalty model: P(8) = %.1f, P(64) = %.1f, P(saturated) = %.1f cycles\n",
 		model.MispredictPenalty(8), model.MispredictPenalty(64),
 		model.MispredictPenalty(uint64(cfg.ROBSize)))

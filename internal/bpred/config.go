@@ -15,25 +15,39 @@ type Config struct {
 	BTBEntries int    // 0 disables target misses
 }
 
-// Build constructs the configured prediction unit. Geometry the table
-// constructors cannot build (they panic on it) is an error here, so a
-// configuration that arrives from outside the process is checked, not
-// trusted.
-func (c Config) Build() (*Unit, error) {
+// Validate reports whether Build can construct the configured unit, without
+// constructing it: an unknown kind, or geometry the table constructors
+// cannot build (they panic on it), is an error, so a configuration that
+// arrives from outside the process is checked, not trusted.
+func (c Config) Validate() error {
 	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
 	switch c.Kind {
+	case "perfect", "taken", "not-taken":
 	case "bimodal", "gshare", "local", "tournament", "perceptron", "tage", "2bc-gskew":
 		if !pow2(c.Entries) {
-			return nil, fmt.Errorf("bpred: %s entries must be a positive power of two, got %d", c.Kind, c.Entries)
+			return fmt.Errorf("bpred: %s entries must be a positive power of two, got %d", c.Kind, c.Entries)
 		}
+	default:
+		return fmt.Errorf("bpred: unknown predictor kind %q", c.Kind)
 	}
 	switch {
 	case c.Kind == "local" && (c.HistBits < 1 || c.HistBits > 16):
-		return nil, fmt.Errorf("bpred: local history bits %d out of [1,16]", c.HistBits)
+		return fmt.Errorf("bpred: local history bits %d out of [1,16]", c.HistBits)
 	case c.Kind == "perceptron" && (c.HistBits < 1 || c.HistBits > 64):
-		return nil, fmt.Errorf("bpred: perceptron history bits %d out of [1,64]", c.HistBits)
+		return fmt.Errorf("bpred: perceptron history bits %d out of [1,64]", c.HistBits)
+	case c.Kind == "tage" && c.Entries < 2: // a 1-entry table has no index bits to fold history into
+		return fmt.Errorf("bpred: tage entries must be at least 2, got %d", c.Entries)
 	case c.BTBEntries > 0 && !pow2(c.BTBEntries):
-		return nil, fmt.Errorf("bpred: BTB entries must be a power of two, got %d", c.BTBEntries)
+		return fmt.Errorf("bpred: BTB entries must be a power of two, got %d", c.BTBEntries)
+	}
+	return nil
+}
+
+// Build constructs the configured prediction unit after Validate accepts
+// the configuration.
+func (c Config) Build() (*Unit, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
 	var dir Predictor
 	switch c.Kind {
@@ -61,8 +75,6 @@ func (c Config) Build() (*Unit, error) {
 		dir = NewTAGE(c.Entries, c.HistBits)
 	case "2bc-gskew":
 		dir = NewGSkew(c.Entries, c.HistBits)
-	default:
-		return nil, fmt.Errorf("bpred: unknown predictor kind %q", c.Kind)
 	}
 	u := &Unit{Dir: dir}
 	if c.BTBEntries > 0 {

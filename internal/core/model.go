@@ -19,9 +19,7 @@ import (
 type Model struct {
 	Cfg uarch.Config
 
-	// KUnit is the unit-latency ILP characteristic (inherent ILP).
-	KUnit ilp.Characteristic
-	// KLat is the characteristic under machine latencies: functional-unit
+	// KLat is the ILP characteristic under machine latencies: functional-unit
 	// latencies, the L1 load-use latency, and the expected short-miss uplift
 	// on loads (contributors iv and v folded into the drain curve).
 	KLat ilp.Characteristic

@@ -14,9 +14,9 @@ import (
 // ModelSet builds the analytic interval model for a family of configurations
 // that share a trace, a speculation configuration (predictor + cache
 // geometry) and all latencies — a timing sweep over dispatch width, frontend
-// depth and ROB size — and is the only way to build one. It measures each
-// ILP characteristic once per window size: the unit- and machine-latency
-// K(w) in one fused pass, and the branch-resolution K(w) once per distinct
+// depth and ROB size — and is the only way to build one. It measures the
+// two ILP characteristics the model reads once per window size: the
+// machine-latency K(w), and the branch-resolution K(w) once per distinct
 // dispatch width. It walks a precomputed overlay once, with no predictor or
 // cache simulation at all, for a miss-event profile from which each ROB
 // size's profile is derived. A set is safe for concurrent use, so one set
@@ -38,7 +38,6 @@ type ModelSet struct {
 	mu         sync.Mutex
 	walk       *Profile                // the overlay walked once with an unbounded window
 	shortRatio float64                 // the family's short-miss ratio, set with the walk
-	kunit      map[int]float64         // unit-latency K(w) by window size
 	klat       map[int]float64         // machine-latency K(w) by window size
 	kres       map[int]map[int]float64 // resolution K(w) by dispatch width, then window size
 	prof       map[int]*Profile        // by ROB size, at most maxProfiles
@@ -76,10 +75,9 @@ func NewModelSet(soa *trace.SoA, ov *overlay.Overlay, base uarch.Config, maxROB 
 	return &ModelSet{
 		soa: soa, ov: ov, base: base, maxROB: maxROB,
 		warmup: warmup, maxInsts: maxInsts,
-		kunit: make(map[int]float64),
-		klat:  make(map[int]float64),
-		kres:  make(map[int]map[int]float64),
-		prof:  make(map[int]*Profile),
+		klat: make(map[int]float64),
+		kres: make(map[int]map[int]float64),
+		prof: make(map[int]*Profile),
 	}, nil
 }
 
@@ -120,13 +118,13 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 	}
 	ladder := windowLadder(cfg.ROBSize)
 	lat := MachineLatency(s.base, s.shortRatio)
-	if todo := s.unmeasured(s.kunit, ladder); len(todo) > 0 {
-		ks, err := ilp.Profile(s.soa, todo, []ilp.Latencies{ilp.UnitLatencies(), lat}, s.maxInsts)
+	if todo := s.unmeasured(s.klat, ladder); len(todo) > 0 {
+		k, err := ilp.Profile(s.soa, todo, lat, s.maxInsts)
 		if err != nil {
 			return nil, nil, err
 		}
 		for i, w := range todo {
-			s.kunit[w], s.klat[w] = ks[0].K[i], ks[1].K[i]
+			s.klat[w] = k.K[i]
 		}
 	}
 	kres, ok := s.kres[cfg.DispatchWidth]
@@ -144,10 +142,9 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 		}
 	}
 	return &Model{
-		Cfg:   cfg,
-		KUnit: fitted(s.kunit, ladder),
-		KLat:  fitted(s.klat, ladder),
-		KRes:  fitted(kres, ladder),
+		Cfg:  cfg,
+		KLat: fitted(s.klat, ladder),
+		KRes: fitted(kres, ladder),
 	}, prof, nil
 }
 

@@ -26,18 +26,17 @@ func modelSetPoint(width, depth, rob int) uarch.Config {
 	return cfg
 }
 
-// buildModel is the reference model build: the unit- and machine-latency
-// characteristics in one fused pass and the branch-resolution
-// characteristic at cfg's dispatch width, each profiled over cfg's own
-// window ladder and nothing else. shortRatio is the program's short-miss
-// ratio from a functional profile.
+// buildModel is the reference model build: the machine-latency
+// characteristic and the branch-resolution characteristic at cfg's dispatch
+// width, each profiled over cfg's own window ladder and nothing else.
+// shortRatio is the program's short-miss ratio from a functional profile.
 func buildModel(soa *trace.SoA, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	windows := windowLadder(cfg.ROBSize)
 	lat := MachineLatency(cfg, shortRatio)
-	ks, err := ilp.Profile(soa, windows, []ilp.Latencies{ilp.UnitLatencies(), lat}, maxInsts)
+	klat, err := ilp.Profile(soa, windows, lat, maxInsts)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +44,7 @@ func buildModel(soa *trace.SoA, cfg uarch.Config, shortRatio float64, maxInsts i
 	if err != nil {
 		return nil, err
 	}
-	return &Model{Cfg: cfg, KUnit: ks[0], KLat: ks[1], KRes: kres}, nil
+	return &Model{Cfg: cfg, KLat: klat, KRes: kres}, nil
 }
 
 // dedicatedModel builds the model of cfg and its miss-event profile over

@@ -168,8 +168,7 @@ func handModel(rob int) *Model {
 		klat[i] = math.Sqrt(float64(w)) + 1
 		kres[i] = math.Min(klat[i], 6)
 	}
-	c := ilp.NewCharacteristic(ladder, klat)
-	return &Model{Cfg: modelSetPoint(4, 5, rob), KUnit: c, KLat: c, KRes: ilp.NewCharacteristic(ladder, kres)}
+	return &Model{Cfg: modelSetPoint(4, 5, rob), KLat: ilp.NewCharacteristic(ladder, klat), KRes: ilp.NewCharacteristic(ladder, kres)}
 }
 
 // handProfiles are profiles no overlay walk produces: events out of index
@@ -343,7 +342,6 @@ func FuzzPredictCPI(f *testing.F) {
 			klat[i], kres[i] = float64(next())/4, float64(next())/4
 		}
 		m.KLat, m.KRes = ilp.NewCharacteristic(ladder, klat), ilp.NewCharacteristic(ladder, kres)
-		m.KUnit = m.KLat
 
 		// At least one counted instruction: with none, and fetch breaks,
 		// Base is 0/0, a NaN no == holds for.

@@ -269,9 +269,5 @@ func unitCharacteristic(wc workload.Config, p Params) (ilp.Characteristic, error
 	if err != nil {
 		return ilp.Characteristic{}, err
 	}
-	ks, err := ilp.Profile(a.SoA, ilp.DefaultWindows(), []ilp.Latencies{ilp.UnitLatencies()}, p.Insts)
-	if err != nil {
-		return ilp.Characteristic{}, err
-	}
-	return ks[0], nil
+	return ilp.Profile(a.SoA, ilp.DefaultWindows(), ilp.UnitLatencies(), p.Insts)
 }

@@ -18,11 +18,11 @@ import (
 	"intervalsim/internal/trace"
 )
 
-// Characteristic is a program's ILP profile: the mean unit-latency critical
-// path K(w) over windows of w consecutive instructions, together with the
-// power-law fit K(w) ≈ (w/Alpha)^(1/Beta). Beta ≈ 2 corresponds to the
-// square-root ILP scaling of classic first-order models; larger Beta means
-// more parallelism.
+// Characteristic is a program's ILP profile: the mean critical path K(w)
+// under one latency table over windows of w consecutive instructions,
+// together with the power-law fit K(w) ≈ (w/Alpha)^(1/Beta). Beta ≈ 2
+// corresponds to the square-root ILP scaling of classic first-order models;
+// larger Beta means more parallelism.
 type Characteristic struct {
 	Windows []int     // window sizes profiled, ascending
 	K       []float64 // mean critical path per window size
@@ -132,15 +132,13 @@ func NewCharacteristic(windows []int, k []float64) Characteristic {
 	return c
 }
 
-// Profile measures the ILP characteristic of the packed trace s under one or
-// two latency tables — the model's pair is unit latency and one machine
-// table — in one pass over the first maxInsts records (0 = the whole trace);
-// result i belongs to lats[i]. The kernel runs exactly two lanes, each with
-// its own depth column; given one table, both lanes run it. It computes
-// critical paths over non-overlapping windows of each size in windows (which
-// must be positive and ascending): windows of size w start at records 0, w,
-// 2w, … for as long as they fit, whatever other sizes are profiled with
-// them, so K(w) does not depend on the rest of the ladder.
+// Profile measures the ILP characteristic of the packed trace s under the
+// latency table lat, whose entries must be non-negative, over the first
+// maxInsts records (0 = the whole trace). It computes critical paths over
+// non-overlapping windows of each size in windows (which must be positive
+// and ascending): windows of size w start at records 0, w, 2w, … for as long
+// as they fit, whatever other sizes are profiled with them, so K(w) does not
+// depend on the rest of the ladder.
 //
 // Inside a window starting at record lo, a producer counts iff its
 // Dep1/Dep2/DepMem index is at least lo: the packed trace's producer of a
@@ -150,22 +148,24 @@ func NewCharacteristic(windows []int, k []float64) Characteristic {
 // starts, not where it ends, and windows of several sizes that start at the
 // same record share one depth computation: each smaller window's critical
 // path is the running maximum at its last record.
-func Profile(s *trace.SoA, windows []int, lats []Latencies, maxInsts int) ([]Characteristic, error) {
+func Profile(s *trace.SoA, windows []int, lat Latencies, maxInsts int) (Characteristic, error) {
 	if err := checkWindows(windows); err != nil {
-		return nil, err
+		return Characteristic{}, err
 	}
-	if len(lats) == 0 || len(lats) > 2 {
-		return nil, fmt.Errorf("ilp: %d latency tables given, want 1 or 2", len(lats))
+	for c, l := range lat {
+		if !(l >= 0) {
+			return Characteristic{}, fmt.Errorf("ilp: %v latency %v is negative or NaN", isa.Class(c), l)
+		}
 	}
-	lat0, lat1 := lats[0], lats[len(lats)-1]
 	n := profiled(s, maxInsts)
 	nw := len(windows)
-	largest := windows[nw-1]
-	// depth0[k] and depth1[k] are the completion times of the k-th record
-	// from the current start in each lane.
-	depth0 := make([]float64, largest)
-	depth1 := make([]float64, largest)
-	sums := make([]float64, 2*nw) // by lane, then window size
+	// depth[k+1] is the completion time of the k-th record from the current
+	// start, as IEEE-754 bits; depth[0] is a zero sentinel, the depth of a
+	// producer before the start or of none. Depths are never negative, and
+	// the bits of non-negative floats order as their values do, so every
+	// max below is an integer max, which compiles without a branch.
+	depth := make([]uint64, windows[nw-1]+1)
+	sums := make([]float64, nw)
 	counts := make([]int, nw)
 	next := make([]int, nw) // next start of a window of each size
 	for {
@@ -184,50 +184,20 @@ func Profile(s *trace.SoA, windows []int, lats []Latencies, maxInsts int) ([]Cha
 		if first < 0 {
 			break
 		}
-		var longest0, longest1 float64
+		hi := lo + windows[last]
+		meta, dep1, dep2, depMem := s.Meta[lo:hi], s.Dep1[lo:hi], s.Dep2[lo:hi], s.DepMem[lo:hi]
+		var longest uint64
 		wi := first
-		for k := 0; k < windows[last]; k++ {
-			i := lo + k
-			var ready0, ready1 float64
-			if o := int(s.Dep1[i]) - lo; o >= 0 {
-				if depth0[o] > ready0 {
-					ready0 = depth0[o]
-				}
-				if depth1[o] > ready1 {
-					ready1 = depth1[o]
-				}
-			}
-			if o := int(s.Dep2[i]) - lo; o >= 0 {
-				if depth0[o] > ready0 {
-					ready0 = depth0[o]
-				}
-				if depth1[o] > ready1 {
-					ready1 = depth1[o]
-				}
-			}
-			if o := int(s.DepMem[i]) - lo; o >= 0 {
-				if depth0[o] > ready0 {
-					ready0 = depth0[o]
-				}
-				if depth1[o] > ready1 {
-					ready1 = depth1[o]
-				}
-			}
-			class := s.Class(i)
-			d0, d1 := ready0+lat0[class], ready1+lat1[class]
-			depth0[k], depth1[k] = d0, d1
-			if d0 > longest0 {
-				longest0 = d0
-			}
-			if d1 > longest1 {
-				longest1 = d1
-			}
+		for k := range meta {
+			ready := max(depth[slot(dep1[k], lo)], depth[slot(dep2[k], lo)], depth[slot(depMem[k], lo)])
+			d := math.Float64bits(math.Float64frombits(ready) + lat[meta[k]&trace.MetaClassMask])
+			depth[k+1] = d
+			longest = max(longest, d)
 			if k+1 < windows[wi] {
 				continue
 			}
 			// The window of size k+1 starting at lo ends here.
-			sums[wi] += longest0
-			sums[nw+wi] += longest1
+			sums[wi] += math.Float64frombits(longest)
 			counts[wi]++
 			next[wi] += windows[wi]
 			// Move on to the next larger window starting at lo.
@@ -235,11 +205,15 @@ func Profile(s *trace.SoA, windows []int, lats []Latencies, maxInsts int) ([]Cha
 			}
 		}
 	}
-	out := []Characteristic{characteristic(windows, sums[:nw], counts)}
-	if len(lats) == 2 {
-		out = append(out, characteristic(windows, sums[nw:], counts))
-	}
-	return out, nil
+	return characteristic(windows, sums, counts), nil
+}
+
+// slot returns the depth-column slot of producer dep in the window starting
+// at lo: 0, the zero sentinel, for a producer before lo or none (NoDep), or
+// one past its offset from lo. The clamp is branch-free.
+func slot(dep int32, lo int) int {
+	o := int(dep) - lo + 1
+	return o &^ (o >> 63)
 }
 
 // fit performs a least-squares power-law fit of the measured (w, K) points

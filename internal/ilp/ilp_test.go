@@ -150,36 +150,29 @@ func chainTrace(seed uint64, n int, p float64) *trace.Trace {
 	return tr
 }
 
-// unitProfile runs Profile with the unit-latency table alone.
-func unitProfile(s *trace.SoA, windows []int, maxInsts int) (Characteristic, error) {
-	cs, err := Profile(s, windows, []Latencies{UnitLatencies()}, maxInsts)
-	if err != nil {
-		return Characteristic{}, err
-	}
-	return cs[0], nil
-}
-
 func TestProfileValidation(t *testing.T) {
 	soa := trace.Pack(chainTrace(1, 100, 0.5))
-	if _, err := unitProfile(soa, nil, 0); err == nil {
+	if _, err := Profile(soa, nil, UnitLatencies(), 0); err == nil {
 		t.Error("empty windows accepted")
 	}
-	if _, err := unitProfile(soa, []int{4, 4}, 0); err == nil {
+	if _, err := Profile(soa, []int{4, 4}, UnitLatencies(), 0); err == nil {
 		t.Error("non-ascending windows accepted")
 	}
-	if _, err := unitProfile(soa, []int{0, 4}, 0); err == nil {
+	if _, err := Profile(soa, []int{0, 4}, UnitLatencies(), 0); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := Profile(soa, []int{2, 4}, nil, 0); err == nil {
-		t.Error("no latency tables accepted")
+	negative, nan := UnitLatencies(), UnitLatencies()
+	negative[isa.IntMul], nan[isa.Load] = -1, math.NaN()
+	if _, err := Profile(soa, []int{2, 4}, negative, 0); err == nil {
+		t.Error("negative latency accepted")
 	}
-	if _, err := Profile(soa, []int{2, 4}, make([]Latencies, 3), 0); err == nil {
-		t.Error("three latency tables accepted by a two-lane kernel")
+	if _, err := Profile(soa, []int{2, 4}, nan, 0); err == nil {
+		t.Error("NaN latency accepted")
 	}
 }
 
 func TestProfileKGrowsWithWindow(t *testing.T) {
-	c, err := unitProfile(trace.Pack(chainTrace(2, 50000, 0.6)), DefaultWindows(), 0)
+	c, err := Profile(trace.Pack(chainTrace(2, 50000, 0.6)), DefaultWindows(), UnitLatencies(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +187,11 @@ func TestProfileKGrowsWithWindow(t *testing.T) {
 }
 
 func TestProfileSeparatesILPLevels(t *testing.T) {
-	lo, err := unitProfile(trace.Pack(chainTrace(3, 50000, 0.9)), DefaultWindows(), 0)
+	lo, err := Profile(trace.Pack(chainTrace(3, 50000, 0.9)), DefaultWindows(), UnitLatencies(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := unitProfile(trace.Pack(chainTrace(3, 50000, 0.1)), DefaultWindows(), 0)
+	hi, err := Profile(trace.Pack(chainTrace(3, 50000, 0.1)), DefaultWindows(), UnitLatencies(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +246,7 @@ func TestEvalDegenerate(t *testing.T) {
 }
 
 func TestProfileMaxInsts(t *testing.T) {
-	c, err := unitProfile(trace.Pack(chainTrace(4, 10000, 0.5)), []int{2, 4}, 100)
+	c, err := Profile(trace.Pack(chainTrace(4, 10000, 0.5)), []int{2, 4}, UnitLatencies(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}

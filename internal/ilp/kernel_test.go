@@ -87,17 +87,17 @@ func TestKernelsMatchReference(t *testing.T) {
 			limits := []int{0, largest - 1, 7*largest + 3, soa.Len() + 5}
 			for _, maxInsts := range []int{limits[(pi+li)%4], limits[(pi+li+2)%4]} {
 				name := fmt.Sprintf("%s/ladder%d/max%d", p.name, largest, maxInsts)
-				got, err := Profile(soa, windows, tables, maxInsts)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for i, tab := range tables {
+					got, err := Profile(soa, windows, tab, maxInsts)
+					if err != nil {
+						t.Fatal(err)
+					}
 					want, err := refProfile(p.tr.Reader(), windows, tableFunc(tab), maxInsts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got[i], want) {
-						t.Errorf("%s table %d: Profile %+v, reference %+v", name, i, got[i], want)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s table %d: Profile %+v, reference %+v", name, i, got, want)
 					}
 				}
 
@@ -132,21 +132,23 @@ func TestProfileWindowsIndependent(t *testing.T) {
 	}
 	tables := []Latencies{UnitLatencies(), machineTable()}
 	ladder := []int{2, 3, 4, 8, 16, 32, 64, 96, 128, 200}
-	all, err := Profile(soa, ladder, tables, 0)
-	if err != nil {
-		t.Fatal(err)
+	all := make([]Characteristic, len(tables))
+	for ti, tab := range tables {
+		if all[ti], err = Profile(soa, ladder, tab, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	allRes, err := ProfileResolution(soa, ladder, tables[1], 4, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range ladder {
-		alone, err := Profile(soa, []int{w}, tables, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ti := range tables {
-			if got, want := all[ti].K[i], alone[ti].K[0]; got != want {
+		for ti, tab := range tables {
+			alone, err := Profile(soa, []int{w}, tab, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := all[ti].K[i], alone.K[0]; got != want {
 				t.Errorf("table %d: K(%d) = %v in the ladder, %v alone", ti, w, got, want)
 			}
 		}
@@ -173,15 +175,14 @@ func TestKernelAllocationsIndependentOfLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := []Latencies{UnitLatencies(), machineTable()}
 	kernels := map[string]func(*trace.SoA){
 		"Profile": func(s *trace.SoA) {
-			if _, err := Profile(s, DefaultWindows(), tables, 0); err != nil {
+			if _, err := Profile(s, DefaultWindows(), machineTable(), 0); err != nil {
 				t.Fatal(err)
 			}
 		},
 		"ProfileResolution": func(s *trace.SoA) {
-			if _, err := ProfileResolution(s, DefaultWindows(), tables[1], 4, 0, 4); err != nil {
+			if _, err := ProfileResolution(s, DefaultWindows(), machineTable(), 4, 0, 4); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -118,7 +118,7 @@ func TestProfileResolutionSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := unitProfile(soa, windows, 0)
+	full, err := Profile(soa, windows, UnitLatencies(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,8 @@ func (m MachineSpec) resolve() (uarch.Config, error) {
 		if cfg.Name == "" {
 			cfg.Name = "custom"
 		}
-		// Bounds first: Validate builds the predictor.
+		// Bounds first, so an oversized field is named with its bound:
+		// Validate checks the predictor's shape, not its size.
 		if err := checkBounds(configBounds(&cfg)); err != nil {
 			return uarch.Config{}, err
 		}

@@ -13,12 +13,13 @@ import (
 
 // Admission bounds on every size-bearing field a request can carry. The
 // simulator sizes its ROB, fetch queue and functional-unit pools from the
-// machine, Validate builds the branch predictor during admission, and the
-// generator builds the program from the workload's structure, so a single
-// unbounded field would let one request allocate tens of gigabytes. The
-// bounds are constants, not options: each sits well above every preset,
-// experiment, CLI default and benchmark request in the repository, and a
-// request past one is rejected with HTTP 400 naming the field and its bound.
+// machine, a worker builds the branch predictor's tables from it (for the
+// simulator, and for the overlay the model reads), and the generator builds
+// the program from the workload's structure, so a single unbounded field
+// would let one request allocate tens of gigabytes. The bounds are
+// constants, not options: each sits well above every preset, experiment,
+// CLI default and benchmark request in the repository, and a request past
+// one is rejected with HTTP 400 naming the field and its bound.
 const (
 	maxWidth        = 64      // fetch, dispatch, issue and commit width
 	maxDepth        = 256     // frontend pipeline stages

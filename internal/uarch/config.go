@@ -141,7 +141,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w: %s: FU pool %s needs positive count and latency", ErrBadConfig, c.Name, pl.name)
 		}
 	}
-	if _, err := c.Pred.Build(); err != nil {
+	if err := c.Pred.Validate(); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadConfig, c.Name, err)
 	}
 	if err := c.Mem.Validate(); err != nil {

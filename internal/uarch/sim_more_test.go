@@ -391,9 +391,9 @@ func TestWrongPathFetchPollutesICache(t *testing.T) {
 // TestRunAllocations pins what a run allocates: the simulator sizes its
 // pools from the machine once, before the first cycle, so a run of 200K
 // instructions allocates exactly what a run of 20K does, and no more than
-// the 51 objects of the baseline machine, live or replayed.
+// the 40 objects of the baseline machine, live or replayed.
 func TestRunAllocations(t *testing.T) {
-	const maxAllocs = 51
+	const maxAllocs = 40
 	cfg := Baseline()
 	counts := map[string][]float64{}
 	for _, n := range []int{20_000, 200_000} {
