@@ -13,16 +13,18 @@ import (
 
 // Model is the analytic interval model: it predicts branch misprediction
 // penalties and whole-program CPI from (a) the machine configuration, (b)
-// the program's ILP characteristic, and (c) a functional miss-event profile.
-// Nothing here requires cycle-level simulation; the detailed simulator is
-// used only to validate the predictions (experiment E9).
+// the program's ILP characteristics, and (c) a functional miss-event
+// profile. Nothing here requires cycle-level simulation; the detailed
+// simulator is used only to validate the predictions (experiment E9).
 type Model struct {
 	Cfg uarch.Config
 
-	// KLat is the ILP characteristic under machine latencies: functional-unit
-	// latencies, the L1 load-use latency, and the expected short-miss uplift
-	// on loads (contributors iv and v folded into the drain curve).
-	KLat ilp.Characteristic
+	// KROB is the mean critical path of a ROB-sized window under machine
+	// latencies: functional-unit latencies, the L1 load-use latency, and
+	// the expected short-miss uplift on loads. A full window cannot drain
+	// faster than ROBSize/KROB instructions a cycle, the inherent-ILP cap
+	// on steady dispatch.
+	KROB float64
 	// KRes is the branch-resolution characteristic under machine latencies:
 	// the mean critical path ending at a branch over the occupancy preceding
 	// it. It saturates at the typical branch-chain depth, which is what a
@@ -48,11 +50,6 @@ type ModelOptions struct {
 	NoFetchCap bool
 	// NoILPCap removes the inherent-ILP cap on the dispatch rate.
 	NoILPCap bool
-	// NaiveResolution replaces the scheduled branch-resolution
-	// characteristic with the raw whole-window critical path — the
-	// difference is the execution-overlap credit old window contents earn
-	// while the branch travels the frontend.
-	NaiveResolution bool
 }
 
 // resolutionSample profiles the resolution characteristic at every fourth
@@ -60,8 +57,8 @@ type ModelOptions struct {
 const resolutionSample = 4
 
 // windowLadder returns the window ladder of a ROB size: the window sizes at
-// which the model measures each ILP characteristic, powers of two below the
-// ROB size and then the ROB size itself.
+// which the model measures the branch-resolution characteristic, powers of
+// two below the ROB size and then the ROB size itself.
 func windowLadder(rob int) []int {
 	var out []int
 	for w := 2; w < rob; w *= 2 {
@@ -103,8 +100,8 @@ func frontendRefill(cfg uarch.Config) float64 {
 // MispredictPenalty predicts the penalty of a misprediction occurring
 // sinceLast instructions after the previous miss event: the window drain
 // (bounded by how much of the window could refill since the last event —
-// contributor ii — and shaped by the ILP characteristic under machine
-// latencies — contributors iii, iv, v) plus the frontend refill
+// contributor ii — and shaped by the branch-resolution characteristic under
+// machine latencies — contributors iii, iv, v) plus the frontend refill
 // (contributor i).
 func (m *Model) MispredictPenalty(sinceLast uint64) float64 {
 	occ := sinceLast
@@ -113,11 +110,7 @@ func (m *Model) MispredictPenalty(sinceLast uint64) float64 {
 	}
 	drain := 0.0
 	if occ > 0 {
-		if m.Opts.NaiveResolution {
-			drain = m.KLat.EvalInterp(int(occ))
-		} else {
-			drain = m.KRes.EvalInterp(int(occ))
-		}
+		drain = m.KRes.EvalInterp(int(occ))
 	}
 	return drain + dispatchToIssue + frontendRefill(m.Cfg)
 }
@@ -285,13 +278,13 @@ func serialParent(evs []uarch.MissEvent) (uint64, bool) {
 
 // effectiveDispatch returns the steady-state dispatch rate between miss
 // events: the design width, capped by the program's inherent ILP under
-// machine latencies (a full window cannot drain faster than ROB/K(ROB)) and
+// machine latencies (a full window cannot drain faster than ROB/KROB) and
 // by the fetch rate under taken-transfer fetch breaks (a fetch group ends at
 // a taken branch, so groups of g instructions need about g/width + 1/2
 // cycles).
 func (m *Model) effectiveDispatch(p *Profile) float64 {
 	dEff := float64(m.Cfg.DispatchWidth)
-	if k := m.KLat.EvalInterp(m.Cfg.ROBSize); k > 0 && !m.Opts.NoILPCap {
+	if k := m.KROB; k > 0 && !m.Opts.NoILPCap {
 		if lim := float64(m.Cfg.ROBSize) / k; lim < dEff {
 			dEff = lim
 		}

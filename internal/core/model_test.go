@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"intervalsim/internal/ilp"
 	"intervalsim/internal/isa"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
@@ -23,12 +24,16 @@ func memWorkload() workload.Config {
 	return c
 }
 
-func buildFor(t *testing.T, wc workload.Config) (*Model, *Profile, *uarch.Result) {
+// buildFor returns the baseline machine's model of wc, its miss-event
+// profile and the packed trace they were built from.
+func buildFor(t *testing.T, wc workload.Config) (*Model, *Profile, *trace.SoA) {
 	t.Helper()
-	cfg := uarch.Baseline()
-	tr, res := runDetailed(t, wc, cfg)
-	m, prof := dedicatedModel(t, trace.Pack(tr), cfg, 0)
-	return m, prof, res
+	soa, err := trace.PackReader(workload.MustNew(wc, testLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, prof := dedicatedModel(t, soa, uarch.Baseline(), 0)
+	return m, prof, soa
 }
 
 func TestSerialMissesDetectedOnPointerChase(t *testing.T) {
@@ -58,7 +63,7 @@ func TestSerialMissesDetectedOnPointerChase(t *testing.T) {
 }
 
 func TestModelOptionsMoveCPIPredictably(t *testing.T) {
-	m, prof, _ := buildFor(t, memWorkload())
+	m, prof, soa := buildFor(t, memWorkload())
 	predict := func(opts ModelOptions) float64 {
 		m.Opts = opts
 		b, err := m.PredictCPI(prof)
@@ -71,7 +76,15 @@ func TestModelOptionsMoveCPIPredictably(t *testing.T) {
 	noSerial := predict(ModelOptions{NoSerialMisses: true})
 	noCredit := predict(ModelOptions{NoOverlapCredit: true})
 	noFetch := predict(ModelOptions{NoFetchCap: true})
-	naive := predict(ModelOptions{NaiveResolution: true})
+	// A1's raw critical path: the whole-window characteristic in place of
+	// scheduled resolution, which credits old window contents with the
+	// execution time they had before the branch arrived.
+	raw, err := ilp.Profile(soa, m.KRes.Windows, MachineLatency(m.Cfg, prof.ShortMissRatio()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.KRes = raw
+	rawCPI := predict(ModelOptions{})
 
 	if noSerial >= full {
 		t.Errorf("dropping serial-miss detection must lower predicted CPI: %v vs %v", noSerial, full)
@@ -82,8 +95,8 @@ func TestModelOptionsMoveCPIPredictably(t *testing.T) {
 	if noFetch > full {
 		t.Errorf("dropping the fetch cap must not raise CPI: %v vs %v", noFetch, full)
 	}
-	if naive < full {
-		t.Errorf("naive resolution must not lower CPI: %v vs %v", naive, full)
+	if rawCPI < full {
+		t.Errorf("the raw critical path must not lower CPI: %v vs %v", rawCPI, full)
 	}
 }
 

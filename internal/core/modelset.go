@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -14,19 +15,21 @@ import (
 // ModelSet builds the analytic interval model for a family of configurations
 // that share a trace, a speculation configuration (predictor + cache
 // geometry) and all latencies — a timing sweep over dispatch width, frontend
-// depth and ROB size — and is the only way to build one. It measures the
-// two ILP characteristics the model reads once per window size: the
-// machine-latency K(w), and the branch-resolution K(w) once per distinct
-// dispatch width. It walks a precomputed overlay once, with no predictor or
-// cache simulation at all, for a miss-event profile from which each ROB
-// size's profile is derived. A set is safe for concurrent use, so one set
-// can serve every worker that asks for a member of its family.
+// depth and ROB size — and is the only way to build one. It measures what
+// the model reads of the two ILP characteristics: the machine-latency
+// critical path of a ROB-sized window once per ROB size, and the
+// branch-resolution K(w) once per window size and distinct dispatch width.
+// It walks a precomputed overlay once, with no predictor or cache
+// simulation at all, for a miss-event profile from which each ROB size's
+// profile is derived. A set is safe for concurrent use, so one set can
+// serve every worker that asks for a member of its family.
 //
-// The sharing is exact: ilp.Profile tiles each window size on its own, so
-// K(w) does not depend on which other sizes were measured with it, and For
-// fits every ROB size on its own window ladder from those measurements. For
-// therefore returns, bit for bit, the model a set dedicated to that one
-// configuration would return, whatever ROB sizes the set answered before.
+// The sharing is exact: the ILP kernels tile each window size on its own,
+// so K(w) does not depend on which other sizes were measured with it, and
+// For fits every ROB size on its own window ladder from those
+// measurements. For therefore returns, bit for bit, the model a set
+// dedicated to that one configuration would return, whatever ROB sizes the
+// set answered before.
 type ModelSet struct {
 	soa      *trace.SoA
 	ov       *overlay.Overlay
@@ -38,7 +41,7 @@ type ModelSet struct {
 	mu         sync.Mutex
 	walk       *Profile                // the overlay walked once with an unbounded window
 	shortRatio float64                 // the family's short-miss ratio, set with the walk
-	klat       map[int]float64         // machine-latency K(w) by window size
+	krob       map[int]float64         // machine-latency K of a ROB-sized window by ROB size
 	kres       map[int]map[int]float64 // resolution K(w) by dispatch width, then window size
 	prof       map[int]*Profile        // by ROB size, at most maxProfiles
 }
@@ -50,14 +53,47 @@ type ModelSet struct {
 // more.
 const maxProfiles = 16
 
+// fieldRole is how the analytic model treats one uarch.Config field.
+type fieldRole int
+
+const (
+	// modelled: a prediction reads the field of the configuration it is
+	// for.
+	modelled fieldRole = iota + 1
+	// sharedBySet: the field is fixed for a model set, and For refuses a
+	// configuration whose field differs from the set's.
+	sharedBySet
+	// outsideModel: no prediction reads the field, so the model answers the
+	// same whatever its value.
+	outsideModel
+)
+
+// configFields names the role of every uarch.Config field in the analytic
+// model.
+var configFields = map[string]fieldRole{
+	"Name":          outsideModel, // a label
+	"FetchWidth":    modelled,     // the fetch-break cap on steady dispatch
+	"DispatchWidth": modelled,     // steady dispatch and the resolution characteristic
+	"IssueWidth":    outsideModel, // issue bandwidth bounds only the simulator
+	"CommitWidth":   outsideModel, // so does retire bandwidth
+	"FrontendDepth": modelled,     // the refill after a flush
+	"ROBSize":       modelled,     // window occupancy, KROB and the long-miss overlap credit
+	"IQSize":        outsideModel, // the scheduler's window bounds only the simulator
+	"FU":            sharedBySet,  // the latencies; counts and pipelining are outside the model
+	"Pred":          sharedBySet,  // through the overlay's fingerprint
+	"Mem":           sharedBySet,  // the geometry through the overlay's fingerprint, and the latencies
+	"VPred":         sharedBySet,  // through the overlay's fingerprint
+	"FetchRate":     modelled,     // the throttled refill
+}
+
 // NewModelSet prepares a model family over soa + ov. base fixes everything
 // the family must share: the speculation configuration and the latencies.
-// The first For profiles the window ladder of maxROB up front, so a sweep
-// whose largest ROB is maxROB pays one pass per characteristic; other ROB
-// sizes, larger ones included, are profiled as they are asked for. warmup
-// and maxInsts bound the profiled region: the first warmup instructions are
-// left out of every profile count, and at most maxInsts instructions are
-// read (0 = all).
+// The first For at each dispatch width profiles resolution over the window
+// ladder of maxROB up front, so a sweep whose largest ROB is maxROB pays one
+// resolution pass per width; other ROB sizes, larger ones included, are
+// profiled as they are asked for. warmup and maxInsts bound the profiled
+// region: the first warmup instructions are left out of every profile
+// count, and at most maxInsts instructions are read (0 = all).
 func NewModelSet(soa *trace.SoA, ov *overlay.Overlay, base uarch.Config, maxROB int, warmup uint64, maxInsts int) (*ModelSet, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
@@ -75,17 +111,16 @@ func NewModelSet(soa *trace.SoA, ov *overlay.Overlay, base uarch.Config, maxROB 
 	return &ModelSet{
 		soa: soa, ov: ov, base: base, maxROB: maxROB,
 		warmup: warmup, maxInsts: maxInsts,
-		klat: make(map[int]float64),
+		krob: make(map[int]float64),
 		kres: make(map[int]map[int]float64),
 		prof: make(map[int]*Profile),
 	}, nil
 }
 
 // For composes the analytic model and the miss-event profile for one member
-// of the family, profiling only the window sizes no earlier call measured.
-// It rejects — rather than silently mis-shares — a configuration whose
-// speculation state or latencies fall outside the family. Safe for
-// concurrent use.
+// of the family, profiling only what no earlier call measured. It rejects —
+// rather than silently mis-shares — a configuration whose speculation state
+// or latencies fall outside the family. Safe for concurrent use.
 func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -117,35 +152,74 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 		}
 	}
 	ladder := windowLadder(cfg.ROBSize)
-	lat := MachineLatency(s.base, s.shortRatio)
-	if todo := s.unmeasured(s.klat, ladder); len(todo) > 0 {
-		k, err := ilp.Profile(s.soa, todo, lat, s.maxInsts)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, w := range todo {
-			s.klat[w] = k.K[i]
-		}
-	}
 	kres, ok := s.kres[cfg.DispatchWidth]
 	if !ok {
 		kres = make(map[int]float64)
 		s.kres[cfg.DispatchWidth] = kres
 	}
-	if todo := s.unmeasured(kres, ladder); len(todo) > 0 {
-		k, err := ilp.ProfileResolution(s.soa, todo, lat, cfg.DispatchWidth, s.maxInsts, resolutionSample)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, w := range todo {
-			kres[w] = k.K[i]
-		}
+	krob, err := s.measure(cfg.ROBSize, cfg.DispatchWidth, s.unmeasured(kres, ladder), kres)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &Model{
-		Cfg:  cfg,
-		KLat: fitted(s.klat, ladder),
-		KRes: fitted(kres, ladder),
-	}, prof, nil
+	return &Model{Cfg: cfg, KROB: krob, KRes: fitted(kres, ladder)}, prof, nil
+}
+
+// measure returns the machine-latency K of a rob-sized window, running the
+// passes no earlier call ran: that K, and the resolution K(w) at width of
+// the windows todo, recorded in kres. When both passes are due, as at the
+// first For of a new width and a new ROB size, they run at once: the
+// caller holds the set's lock, so every other For waits on both either way.
+func (s *ModelSet) measure(rob, width int, todo []int, kres map[int]float64) (float64, error) {
+	lat := MachineLatency(s.base, s.shortRatio)
+	if k, ok := s.krob[rob]; ok {
+		return k, s.resolution(todo, width, lat, kres)
+	}
+	var (
+		k         float64
+		kErr, err error
+	)
+	if len(todo) == 0 {
+		k, kErr = s.robK(rob, lat)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k, kErr = s.robK(rob, lat)
+		}()
+		err = s.resolution(todo, width, lat, kres)
+		wg.Wait()
+	}
+	if err := cmp.Or(kErr, err); err != nil {
+		return 0, err
+	}
+	s.krob[rob] = k
+	return k, nil
+}
+
+// robK measures the machine-latency K of one rob-sized window.
+func (s *ModelSet) robK(rob int, lat ilp.Latencies) (float64, error) {
+	k, err := ilp.Profile(s.soa, []int{rob}, lat, s.maxInsts)
+	if err != nil {
+		return 0, err
+	}
+	return k.K[0], nil
+}
+
+// resolution measures the resolution K(w) at width of the windows todo
+// into kres.
+func (s *ModelSet) resolution(todo []int, width int, lat ilp.Latencies, kres map[int]float64) error {
+	if len(todo) == 0 {
+		return nil
+	}
+	k, err := ilp.ProfileResolution(s.soa, todo, lat, width, s.maxInsts, resolutionSample)
+	if err != nil {
+		return err
+	}
+	for i, w := range todo {
+		kres[w] = k.K[i]
+	}
+	return nil
 }
 
 // unmeasured returns, ascending, the window sizes of ladder and of maxROB's

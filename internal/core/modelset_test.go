@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -28,23 +30,26 @@ func modelSetPoint(width, depth, rob int) uarch.Config {
 
 // buildModel is the reference model build: the machine-latency
 // characteristic and the branch-resolution characteristic at cfg's dispatch
-// width, each profiled over cfg's own window ladder and nothing else.
-// shortRatio is the program's short-miss ratio from a functional profile.
-func buildModel(soa *trace.SoA, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, error) {
+// width, each profiled over cfg's own window ladder and nothing else, and
+// the model that reads the machine-latency one where the model's
+// inherent-ILP cap reads it, at the ROB size. It returns the
+// machine-latency characteristic too. shortRatio is the program's
+// short-miss ratio from a functional profile.
+func buildModel(soa *trace.SoA, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, ilp.Characteristic, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, ilp.Characteristic{}, err
 	}
 	windows := windowLadder(cfg.ROBSize)
 	lat := MachineLatency(cfg, shortRatio)
 	klat, err := ilp.Profile(soa, windows, lat, maxInsts)
 	if err != nil {
-		return nil, err
+		return nil, ilp.Characteristic{}, err
 	}
 	kres, err := ilp.ProfileResolution(soa, windows, lat, cfg.DispatchWidth, maxInsts, resolutionSample)
 	if err != nil {
-		return nil, err
+		return nil, ilp.Characteristic{}, err
 	}
-	return &Model{Cfg: cfg, KLat: klat, KRes: kres}, nil
+	return &Model{Cfg: cfg, KROB: klat.EvalInterp(cfg.ROBSize), KRes: kres}, klat, nil
 }
 
 // dedicatedModel builds the model of cfg and its miss-event profile over
@@ -66,13 +71,15 @@ func dedicatedModel(t *testing.T, soa *trace.SoA, cfg uarch.Config, warmup uint6
 	return m, prof
 }
 
-// TestModelSetMatchesBuildModel is the sharing-soundness gate: a model
-// composed from a ModelSet's per-window measurements must equal, bit for
-// bit, the reference build dedicated to that one point, and predict the
-// same cycle stack from the set's profile as the reference does from the
-// live functional profile. One set, whose up-front ladder is that of ROB
-// 128, answers ROB sizes below, between, at and above its ladder nodes, in
-// an order that makes later sizes reuse and extend earlier measurements.
+// TestModelSetMatchesBuildModel is the sharing-soundness gate: what a
+// prediction reads of a model composed from a ModelSet's measurements must
+// equal, bit for bit, the reference build dedicated to that one point —
+// KROB the reference ladder's K at the ROB size, KRes the reference
+// resolution characteristic — and the set's model must predict the same
+// cycle stack from the set's profile as the reference does from the live
+// functional profile. One set, whose up-front ladder is that of ROB 128,
+// answers ROB sizes below, between, at and above its ladder nodes, in an
+// order that makes later sizes reuse and extend earlier measurements.
 func TestModelSetMatchesBuildModel(t *testing.T) {
 	const insts, warmup = 60_000, 5_000
 	for _, name := range []string{"crafty", "mcf"} {
@@ -102,12 +109,17 @@ func TestModelSetMatchesBuildModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				direct, err := buildModel(soa, cfg, dedicated.ShortMissRatio(), insts)
+				direct, klat, err := buildModel(soa, cfg, dedicated.ShortMissRatio(), insts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(shared, direct) {
-					t.Errorf("%s w%d r%d: set model %+v, reference %+v", name, width, rob, shared, direct)
+				if got, want := shared.KROB, klat.K[len(klat.K)-1]; math.Float64bits(got) != math.Float64bits(want) ||
+					math.Float64bits(direct.KROB) != math.Float64bits(want) {
+					t.Errorf("%s w%d r%d: set KROB %v, reference K(ROB) %v, read by the reference model as %v",
+						name, width, rob, got, want, direct.KROB)
+				}
+				if !reflect.DeepEqual(shared.KRes, direct.KRes) {
+					t.Errorf("%s w%d r%d: set KRes %+v, reference %+v", name, width, rob, shared.KRes, direct.KRes)
 				}
 				want, err := direct.PredictCPI(dedicated)
 				if err != nil {
@@ -121,6 +133,60 @@ func TestModelSetMatchesBuildModel(t *testing.T) {
 					t.Errorf("%s w%d r%d: set prediction %+v, reference %+v", name, width, rob, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestModelSetMeasuresKAtROBSizes pins what a set measures of the
+// machine-latency characteristic: one ROB-sized window per ROB size asked
+// for, none of the ladder below it and none of maxROB's, however many
+// widths ask for each size.
+func TestModelSetMeasuresKAtROBSizes(t *testing.T) {
+	const insts = 20_000
+	wc, _ := workload.SuiteConfig("gzip")
+	soa, err := trace.PackReader(workload.MustNew(wc, insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uarch.Baseline()
+	ov, err := overlay.Compute(soa, base.Pred, base.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := NewModelSet(soa, ov, base, 512, 2_000, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{2, 4, 8} {
+		for _, rob := range []int{64, 128, 256} {
+			if _, _, err := set.For(modelSetPoint(width, 5, rob)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var measured []int
+	for w := range set.krob {
+		measured = append(measured, w)
+	}
+	slices.Sort(measured)
+	if want := []int{64, 128, 256}; !slices.Equal(measured, want) {
+		t.Errorf("set measured the machine-latency K at windows %v, want %v", measured, want)
+	}
+}
+
+// TestConfigFieldsHaveRoles: every uarch.Config field has a role in the
+// model, so a field added to the machine is either modelled, checked by
+// For, or named as outside the model, and every entry names a field.
+func TestConfigFieldsHaveRoles(t *testing.T) {
+	typ := reflect.TypeOf(uarch.Config{})
+	for i := range typ.NumField() {
+		if name := typ.Field(i).Name; configFields[name] == 0 {
+			t.Errorf("uarch.Config.%s has no role in configFields", name)
+		}
+	}
+	for name := range configFields {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("configFields names %s, which uarch.Config lacks", name)
 		}
 	}
 }

@@ -136,7 +136,6 @@ var modelOptionSets = []ModelOptions{
 	{NoOverlapCredit: true},
 	{NoFetchCap: true},
 	{NoILPCap: true},
-	{NaiveResolution: true},
 }
 
 // sameError reports whether two errors are both nil, or both wrap
@@ -163,12 +162,11 @@ func checkPredict(t *testing.T, name string, m *Model, p *Profile) {
 // hand-made characteristics.
 func handModel(rob int) *Model {
 	ladder := windowLadder(rob)
-	klat, kres := make([]float64, len(ladder)), make([]float64, len(ladder))
+	kres := make([]float64, len(ladder))
 	for i, w := range ladder {
-		klat[i] = math.Sqrt(float64(w)) + 1
-		kres[i] = math.Min(klat[i], 6)
+		kres[i] = math.Min(math.Sqrt(float64(w))+1, 6)
 	}
-	return &Model{Cfg: modelSetPoint(4, 5, rob), KLat: ilp.NewCharacteristic(ladder, klat), KRes: ilp.NewCharacteristic(ladder, kres)}
+	return &Model{Cfg: modelSetPoint(4, 5, rob), KROB: math.Sqrt(float64(rob)) + 1, KRes: ilp.NewCharacteristic(ladder, kres)}
 }
 
 // handProfiles are profiles no overlay walk produces: events out of index
@@ -332,16 +330,16 @@ func FuzzPredictCPI(f *testing.F) {
 		lat.L2 = lat.L1 + int(next())
 		lat.Mem = lat.L2 + 4*int(next())
 		opts := next()
-		m := &Model{Cfg: cfg, Opts: ModelOptions{
+		m := &Model{Cfg: cfg, KROB: float64(next()) / 4, Opts: ModelOptions{
 			NoSerialMisses: opts&1 != 0, NoOverlapCredit: opts&2 != 0, NoFetchCap: opts&4 != 0,
-			NoILPCap: opts&8 != 0, NaiveResolution: opts&16 != 0,
+			NoILPCap: opts&8 != 0,
 		}}
 		ladder := windowLadder(max(rob, 2))
-		klat, kres := make([]float64, len(ladder)), make([]float64, len(ladder))
+		kres := make([]float64, len(ladder))
 		for i := range ladder {
-			klat[i], kres[i] = float64(next())/4, float64(next())/4
+			kres[i] = float64(next()) / 4
 		}
-		m.KLat, m.KRes = ilp.NewCharacteristic(ladder, klat), ilp.NewCharacteristic(ladder, kres)
+		m.KRes = ilp.NewCharacteristic(ladder, kres)
 
 		// At least one counted instruction: with none, and fetch breaks,
 		// Base is 0/0, a NaN no == holds for.

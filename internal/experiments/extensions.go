@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"intervalsim/internal/core"
+	"intervalsim/internal/ilp"
 	"intervalsim/internal/report"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
@@ -75,13 +76,18 @@ func A1(w io.Writer, p Params) error {
 	variants := []struct {
 		label string
 		opts  core.ModelOptions
+		// raw drains the window along the raw whole-window critical path
+		// instead of the scheduled branch resolution: the difference is the
+		// execution-overlap credit old window contents earn while the branch
+		// travels the frontend.
+		raw bool
 	}{
-		{"full model", core.ModelOptions{}},
-		{"- serial-miss detection", core.ModelOptions{NoSerialMisses: true}},
-		{"- long-miss overlap credit", core.ModelOptions{NoOverlapCredit: true}},
-		{"- fetch-break dispatch cap", core.ModelOptions{NoFetchCap: true}},
-		{"- inherent-ILP dispatch cap", core.ModelOptions{NoILPCap: true}},
-		{"- scheduled resolution (raw critical path)", core.ModelOptions{NaiveResolution: true}},
+		{"full model", core.ModelOptions{}, false},
+		{"- serial-miss detection", core.ModelOptions{NoSerialMisses: true}, false},
+		{"- long-miss overlap credit", core.ModelOptions{NoOverlapCredit: true}, false},
+		{"- fetch-break dispatch cap", core.ModelOptions{NoFetchCap: true}, false},
+		{"- inherent-ILP dispatch cap", core.ModelOptions{NoILPCap: true}, false},
+		{"- scheduled resolution (raw critical path)", core.ModelOptions{}, true},
 	}
 
 	headers := append([]string{"model variant"}, names...)
@@ -92,6 +98,7 @@ func A1(w io.Writer, p Params) error {
 		model *core.Model
 		prof  *core.Profile
 		res   *uarch.Result
+		raw   ilp.Characteristic // the whole-window critical path at the model's resolution windows
 	}
 	data := make([]benchData, 0, len(names))
 	for _, name := range names {
@@ -107,15 +114,23 @@ func A1(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		data = append(data, benchData{model: m, prof: prof, res: res})
+		raw, err := ilpCharacteristic(wc, m.KRes.Windows, core.MachineLatency(cfg, prof.ShortMissRatio()), p)
+		if err != nil {
+			return err
+		}
+		data = append(data, benchData{model: m, prof: prof, res: res, raw: raw})
 	}
 
 	for _, v := range variants {
 		row := []string{v.label}
 		var absSum float64
 		for _, d := range data {
-			d.model.Opts = v.opts
-			pred, err := d.model.PredictCPI(d.prof)
+			m := *d.model
+			m.Opts = v.opts
+			if v.raw {
+				m.KRes = d.raw
+			}
+			pred, err := m.PredictCPI(d.prof)
 			if err != nil {
 				return err
 			}

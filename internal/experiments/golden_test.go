@@ -89,6 +89,19 @@ func TestGoldenA4Table(t *testing.T) {
 	compareGolden(t, filepath.Join("testdata", "golden_a4.txt"), buf.String())
 }
 
+// TestGoldenA1Table pins the rendered model ablation: each refinement of
+// the analytic model switched off alone, the raw whole-window critical path
+// in place of scheduled resolution included, and the CPI error of each
+// against the simulator. A change to what the model reads, or to how a
+// model set measures it, that moves any prediction changes the bytes.
+func TestGoldenA1Table(t *testing.T) {
+	var buf bytes.Buffer
+	if err := A1(&buf, goldenParams()); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, filepath.Join("testdata", "golden_a1.txt"), buf.String())
+}
+
 // TestGoldenB1Table pins the equal-budget predictor shootout: the sized
 // configurations, the replayed MPKI/penalty/IPC of every kind, and the
 // budget curve are all deterministic — drift in TAGE, 2Bc-gskew, the

@@ -265,9 +265,15 @@ func modelFor(wc workload.Config, cfg uarch.Config, p Params) (*core.Model, *cor
 // unitCharacteristic measures the unit-latency ILP characteristic of
 // (wc, insts) over the default window ladder.
 func unitCharacteristic(wc workload.Config, p Params) (ilp.Characteristic, error) {
+	return ilpCharacteristic(wc, ilp.DefaultWindows(), ilp.UnitLatencies(), p)
+}
+
+// ilpCharacteristic measures the ILP characteristic of (wc, insts)
+// under the latency table lat over windows.
+func ilpCharacteristic(wc workload.Config, windows []int, lat ilp.Latencies, p Params) (ilp.Characteristic, error) {
 	a, err := suiteTraceFor(wc, p.Insts)
 	if err != nil {
 		return ilp.Characteristic{}, err
 	}
-	return ilp.Profile(a.SoA, ilp.DefaultWindows(), ilp.UnitLatencies(), p.Insts)
+	return ilp.Profile(a.SoA, windows, lat, p.Insts)
 }

@@ -102,6 +102,16 @@ func checkWindows(windows []int) error {
 	return nil
 }
 
+// checkLatencies rejects a latency table with a negative or NaN entry.
+func checkLatencies(lat Latencies) error {
+	for c, l := range lat {
+		if !(l >= 0) {
+			return fmt.Errorf("ilp: %v latency %v is negative or NaN", isa.Class(c), l)
+		}
+	}
+	return nil
+}
+
 // profiled returns how many leading records of s a pass reads: at most
 // maxInsts (0 = all of them).
 func profiled(s *trace.SoA, maxInsts int) int {
@@ -152,10 +162,8 @@ func Profile(s *trace.SoA, windows []int, lat Latencies, maxInsts int) (Characte
 	if err := checkWindows(windows); err != nil {
 		return Characteristic{}, err
 	}
-	for c, l := range lat {
-		if !(l >= 0) {
-			return Characteristic{}, fmt.Errorf("ilp: %v latency %v is negative or NaN", isa.Class(c), l)
-		}
+	if err := checkLatencies(lat); err != nil {
+		return Characteristic{}, err
 	}
 	n := profiled(s, maxInsts)
 	nw := len(windows)
@@ -267,16 +275,19 @@ func DefaultWindows() []int {
 //
 // Record j of the window dispatches (j-b)/width cycles relative to the
 // branch, issues no earlier than one cycle after dispatch and once its
-// in-window producers complete, and completes lat[class] cycles later; the
-// result is the branch's completion time, floored at 0. Unlike a raw
-// critical path this credits older window contents with the execution time
-// they had before the branch arrived, which is why measured branch
-// resolution saturates well below the whole-window critical path. Only the
-// branch's dependence cone inside the window affects it, so each (branch,
-// window) evaluates that cone alone, memoized in a generation-stamped
-// scratch array.
+// in-window producers complete, and completes lat[class] cycles later (lat's
+// entries must be non-negative, as for Profile); the result is the
+// branch's completion time, floored at 0. Unlike a raw critical path this
+// credits older window contents with the execution time they had before
+// the branch arrived, which is why measured branch resolution saturates
+// well below the whole-window critical path. Only the branch's dependence
+// cone inside the window affects it, so each (branch, window) evaluates
+// that cone alone, memoized in a generation-stamped scratch array.
 func ProfileResolution(s *trace.SoA, windows []int, lat Latencies, width, maxInsts, sample int) (Characteristic, error) {
 	if err := checkWindows(windows); err != nil {
+		return Characteristic{}, err
+	}
+	if err := checkLatencies(lat); err != nil {
 		return Characteristic{}, err
 	}
 	if sample <= 0 {

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"math"
 	"testing"
 
 	"intervalsim/internal/isa"
@@ -167,6 +168,16 @@ func TestProfileResolutionValidation(t *testing.T) {
 	}
 	if _, err := ProfileResolution(soa, []int{8, 4}, UnitLatencies(), 4, 0, 1); err == nil {
 		t.Error("descending windows accepted")
+	}
+	// A bad latency is refused with Profile's error, not turned into NaN K.
+	negative, nan := UnitLatencies(), UnitLatencies()
+	negative[isa.IntALU], nan[isa.Branch] = -1, math.NaN()
+	for name, lat := range map[string]Latencies{"negative": negative, "NaN": nan} {
+		_, want := Profile(soa, []int{2, 4}, lat, 0)
+		_, err := ProfileResolution(soa, []int{2, 4}, lat, 4, 0, 1)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%s latency: ProfileResolution error %v, Profile error %v", name, err, want)
+		}
 	}
 }
 
