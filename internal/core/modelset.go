@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -52,39 +51,6 @@ type ModelSet struct {
 // derives the profile of a size it did not keep again instead of keeping
 // more.
 const maxProfiles = 16
-
-// fieldRole is how the analytic model treats one uarch.Config field.
-type fieldRole int
-
-const (
-	// modelled: a prediction reads the field of the configuration it is
-	// for.
-	modelled fieldRole = iota + 1
-	// sharedBySet: the field is fixed for a model set, and For refuses a
-	// configuration whose field differs from the set's.
-	sharedBySet
-	// outsideModel: no prediction reads the field, so the model answers the
-	// same whatever its value.
-	outsideModel
-)
-
-// configFields names the role of every uarch.Config field in the analytic
-// model.
-var configFields = map[string]fieldRole{
-	"Name":          outsideModel, // a label
-	"FetchWidth":    modelled,     // the fetch-break cap on steady dispatch
-	"DispatchWidth": modelled,     // steady dispatch and the resolution characteristic
-	"IssueWidth":    outsideModel, // issue bandwidth bounds only the simulator
-	"CommitWidth":   outsideModel, // so does retire bandwidth
-	"FrontendDepth": modelled,     // the refill after a flush
-	"ROBSize":       modelled,     // window occupancy, KROB and the long-miss overlap credit
-	"IQSize":        outsideModel, // the scheduler's window bounds only the simulator
-	"FU":            sharedBySet,  // the latencies; counts and pipelining are outside the model
-	"Pred":          sharedBySet,  // through the overlay's fingerprint
-	"Mem":           sharedBySet,  // the geometry through the overlay's fingerprint, and the latencies
-	"VPred":         sharedBySet,  // through the overlay's fingerprint
-	"FetchRate":     modelled,     // the throttled refill
-}
 
 // NewModelSet prepares a model family over soa + ov. base fixes everything
 // the family must share: the speculation configuration and the latencies.
@@ -152,74 +118,31 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 		}
 	}
 	ladder := windowLadder(cfg.ROBSize)
+	lat := MachineLatency(s.base, s.shortRatio)
+	krob, ok := s.krob[cfg.ROBSize]
+	if !ok {
+		k, err := ilp.Profile(s.soa, []int{cfg.ROBSize}, lat, s.maxInsts)
+		if err != nil {
+			return nil, nil, err
+		}
+		krob = k.K[0]
+		s.krob[cfg.ROBSize] = krob
+	}
 	kres, ok := s.kres[cfg.DispatchWidth]
 	if !ok {
 		kres = make(map[int]float64)
 		s.kres[cfg.DispatchWidth] = kres
 	}
-	krob, err := s.measure(cfg.ROBSize, cfg.DispatchWidth, s.unmeasured(kres, ladder), kres)
-	if err != nil {
-		return nil, nil, err
+	if todo := s.unmeasured(kres, ladder); len(todo) > 0 {
+		k, err := ilp.ProfileResolution(s.soa, todo, lat, cfg.DispatchWidth, s.maxInsts, resolutionSample)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, w := range todo {
+			kres[w] = k.K[i]
+		}
 	}
 	return &Model{Cfg: cfg, KROB: krob, KRes: fitted(kres, ladder)}, prof, nil
-}
-
-// measure returns the machine-latency K of a rob-sized window, running the
-// passes no earlier call ran: that K, and the resolution K(w) at width of
-// the windows todo, recorded in kres. When both passes are due, as at the
-// first For of a new width and a new ROB size, they run at once: the
-// caller holds the set's lock, so every other For waits on both either way.
-func (s *ModelSet) measure(rob, width int, todo []int, kres map[int]float64) (float64, error) {
-	lat := MachineLatency(s.base, s.shortRatio)
-	if k, ok := s.krob[rob]; ok {
-		return k, s.resolution(todo, width, lat, kres)
-	}
-	var (
-		k         float64
-		kErr, err error
-	)
-	if len(todo) == 0 {
-		k, kErr = s.robK(rob, lat)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			k, kErr = s.robK(rob, lat)
-		}()
-		err = s.resolution(todo, width, lat, kres)
-		wg.Wait()
-	}
-	if err := cmp.Or(kErr, err); err != nil {
-		return 0, err
-	}
-	s.krob[rob] = k
-	return k, nil
-}
-
-// robK measures the machine-latency K of one rob-sized window.
-func (s *ModelSet) robK(rob int, lat ilp.Latencies) (float64, error) {
-	k, err := ilp.Profile(s.soa, []int{rob}, lat, s.maxInsts)
-	if err != nil {
-		return 0, err
-	}
-	return k.K[0], nil
-}
-
-// resolution measures the resolution K(w) at width of the windows todo
-// into kres.
-func (s *ModelSet) resolution(todo []int, width int, lat ilp.Latencies, kres map[int]float64) error {
-	if len(todo) == 0 {
-		return nil
-	}
-	k, err := ilp.ProfileResolution(s.soa, todo, lat, width, s.maxInsts, resolutionSample)
-	if err != nil {
-		return err
-	}
-	for i, w := range todo {
-		kres[w] = k.K[i]
-	}
-	return nil
 }
 
 // unmeasured returns, ascending, the window sizes of ladder and of maxROB's

@@ -174,6 +174,39 @@ func TestModelSetMeasuresKAtROBSizes(t *testing.T) {
 	}
 }
 
+// fieldRole is how the analytic model treats one uarch.Config field.
+type fieldRole int
+
+const (
+	// modelled: a prediction reads the field of the configuration it is
+	// for.
+	modelled fieldRole = iota + 1
+	// sharedBySet: the field is fixed for a model set, and For refuses a
+	// configuration whose field differs from the set's.
+	sharedBySet
+	// outsideModel: no prediction reads the field, so the model answers the
+	// same whatever its value.
+	outsideModel
+)
+
+// configFields names the role of every uarch.Config field in the analytic
+// model.
+var configFields = map[string]fieldRole{
+	"Name":          outsideModel, // a label
+	"FetchWidth":    modelled,     // the fetch-break cap on steady dispatch
+	"DispatchWidth": modelled,     // steady dispatch and the resolution characteristic
+	"IssueWidth":    outsideModel, // issue bandwidth bounds only the simulator
+	"CommitWidth":   outsideModel, // so does retire bandwidth
+	"FrontendDepth": modelled,     // the refill after a flush
+	"ROBSize":       modelled,     // window occupancy, KROB and the long-miss overlap credit
+	"IQSize":        outsideModel, // the scheduler's window bounds only the simulator
+	"FU":            sharedBySet,  // the latencies; counts and pipelining are outside the model
+	"Pred":          sharedBySet,  // through the overlay's fingerprint
+	"Mem":           sharedBySet,  // the geometry through the overlay's fingerprint, and the latencies
+	"VPred":         sharedBySet,  // through the overlay's fingerprint
+	"FetchRate":     modelled,     // the throttled refill
+}
+
 // TestConfigFieldsHaveRoles: every uarch.Config field has a role in the
 // model, so a field added to the machine is either modelled, checked by
 // For, or named as outside the model, and every entry names a field.
